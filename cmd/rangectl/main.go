@@ -436,8 +436,10 @@ func run(dir, name string, duration, panel time.Duration) error {
 	}
 	<-ctx.Done()
 done:
-	steps, mean := r.Sim.Stats()
-	fmt.Printf("\nfinal: %d simulation steps, mean solve %v\n", steps, mean)
+	r.Stop() // no step in flight while the report reads device state
+	st := r.RealTimeStats()
+	fmt.Printf("\nreal time: %d steps, %d overruns, %d failed, max step %v (budget %v)\n",
+		st.Steps, st.Overruns, st.Failures, st.MaxStep, r.Interval())
 	if r.HMI != nil {
 		fmt.Println(r.HMI.StatusPanel())
 		for _, e := range r.HMI.Events() {

@@ -45,6 +45,9 @@
 //	fmt.Println(r.HMI.StatusPanel())      // operator view
 //	r.Stop()
 //
+// Start(ctx, true) instead paces StepAll in wall-clock time, one step per
+// Interval(), for interactive use; RealTimeStats reports its overruns.
+//
 // # Scenarios
 //
 // A Scenario is a list of typed events, each pairing a Trigger with an

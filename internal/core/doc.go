@@ -25,6 +25,13 @@
 // kv-bus/HMI state is byte-identical to CyberRange.StepAllSequential, the
 // retained single-threaded reference path.
 //
+// Real-time mode (Start with realTime true) is paced StepAll: one driver
+// goroutine calls StepAll every Interval() of wall time, with the same clock
+// a batch run uses, so an interactive session runs the batch code path and
+// ends in the state a batch run of the same length reaches.
+// CyberRange.RealTimeStats reports its steps and overruns against the
+// Interval() budget.
+//
 // # Scenario scheduler
 //
 // Scenario (scenario.go) is the typed event DSL: attacker placements plus

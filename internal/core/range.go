@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/ied"
@@ -68,10 +69,25 @@ type CyberRange struct {
 	engine    *stepEngine
 	interval  time.Duration
 	started   bool
-	cancel    context.CancelFunc
 	stepIndex int
 	preStep   StepHook
 	postStep  StepHook
+
+	// The real-time driver: stopRT cancels it, rtDone closes when it has
+	// returned, rtStats is its pacing record (guarded by rtMu).
+	stopRT  context.CancelFunc
+	rtDone  chan struct{}
+	rtMu    sync.Mutex
+	rtStats RealTimeStats
+}
+
+// RealTimeStats is the real-time driver's pacing record against the step
+// budget, Interval(). Steps counts StepAll calls; Failures counts the ones
+// that returned an error; Overruns counts the ones whose wall time exceeded
+// the budget; MaxStep is the longest step's wall time.
+type RealTimeStats struct {
+	Steps, Overruns, Failures int
+	MaxStep                   time.Duration
 }
 
 // rangeArtifacts is everything Compile derives from a ModelSet that is
@@ -272,7 +288,6 @@ func buildArtifacts(ms *ModelSet, workers int) (*rangeArtifacts, *BuiltNetwork, 
 			ICD:        icd,
 			Entry:      entry,
 			GooseAppID: appIDs[sclIED.Name],
-			Period:     a.interval,
 		}
 		if entry != nil && entry.Protection.CILO != nil {
 			cfg.GuardAppID = appIDs[entry.Protection.CILO.GuardIED]
@@ -317,7 +332,6 @@ func buildArtifacts(ms *ModelSet, workers int) (*rangeArtifacts, *BuiltNetwork, 
 		}
 		cfg := plc.Config{
 			Name:       spec.Config.Name,
-			ScanTime:   time.Duration(spec.Config.ScanMS) * time.Millisecond,
 			ModbusPort: uint16(spec.Config.ModbusPort),
 		}
 		for _, b := range spec.Config.Inputs {
@@ -492,8 +506,12 @@ func gooseAppIDs(doc *scl.Document) map[string]uint16 {
 
 // Start brings the range up: network workers, one initial power-flow step
 // (so devices see live measurements), MMS servers, PLC southbound
-// associations, SCADA connections — then, in real-time mode, the periodic
-// loops of every component.
+// associations, SCADA connections. With realTime false the caller drives the
+// range with StepAll. With realTime true Start also launches the real-time
+// driver: paced StepAll, one step every Interval() of wall time with a clock
+// advanced by Interval() per step, until ctx is cancelled or Stop is called.
+// A real-time session therefore runs the batch step path — same phase order,
+// hooks and end state — and RealTimeStats reports its overruns.
 func (r *CyberRange) Start(ctx context.Context, realTime bool) error {
 	if r.started {
 		return fmt.Errorf("%w: range already started", ErrModel)
@@ -512,7 +530,7 @@ func (r *CyberRange) Start(ctx context.Context, realTime bool) error {
 		dev.Step(time.Now())
 	}
 	for name, p := range r.PLCs {
-		if err := p.ServeModbusOnly(); err != nil {
+		if err := p.Serve(); err != nil {
 			return fmt.Errorf("core: PLC %s: %w", name, err)
 		}
 	}
@@ -534,22 +552,50 @@ func (r *CyberRange) Start(ctx context.Context, realTime bool) error {
 	}
 	if realTime {
 		runCtx, cancel := context.WithCancel(ctx)
-		r.cancel = cancel
-		go r.Sim.Run(runCtx, nil)
-		for _, dev := range r.IEDs {
-			dev.Run(runCtx)
-		}
-		for _, p := range r.PLCs {
-			if err := p.Start(runCtx); err != nil {
-				cancel()
-				return err
-			}
-		}
-		if r.HMI != nil {
-			r.HMI.Run(runCtx)
-		}
+		r.stopRT, r.rtDone = cancel, make(chan struct{})
+		go r.driveRealTime(runCtx)
 	}
 	return nil
+}
+
+// driveRealTime is the real-time driver: StepAll once per Interval() of wall
+// time. A failed step is counted and pacing continues (the interactive,
+// operator-in-the-loop contract); ticks missed during a slow step are
+// dropped, never queued.
+func (r *CyberRange) driveRealTime(ctx context.Context) {
+	defer close(r.rtDone)
+	ticker := time.NewTicker(r.interval)
+	defer ticker.Stop()
+	now := time.Now()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-ticker.C:
+		}
+		now = now.Add(r.interval)
+		start := time.Now()
+		err := r.StepAll(now)
+		took := time.Since(start)
+		r.rtMu.Lock()
+		r.rtStats.Steps++
+		if err != nil {
+			r.rtStats.Failures++
+		}
+		if took > r.interval {
+			r.rtStats.Overruns++
+		}
+		r.rtStats.MaxStep = max(r.rtStats.MaxStep, took)
+		r.rtMu.Unlock()
+	}
+}
+
+// RealTimeStats reports the real-time driver's pacing so far; safe to call
+// while the range runs. All zero for a step-driven range.
+func (r *CyberRange) RealTimeStats() RealTimeStats {
+	r.rtMu.Lock()
+	defer r.rtMu.Unlock()
+	return r.rtStats
 }
 
 // plcBindingsOf collects the distinct IED names a PLC talks to.
@@ -687,10 +733,12 @@ func (r *CyberRange) Shards() []Shard { return r.shards }
 // Workers reports the step engine's worker-pool size.
 func (r *CyberRange) Workers() int { return r.engine.workers }
 
-// Stop tears the range down in reverse dependency order.
+// Stop tears the range down in reverse dependency order, after the real-time
+// driver (if any) has finished its step in flight.
 func (r *CyberRange) Stop() {
-	if r.cancel != nil {
-		r.cancel()
+	if r.stopRT != nil {
+		r.stopRT()
+		<-r.rtDone
 	}
 	if r.HMI != nil {
 		r.HMI.Close()

@@ -188,31 +188,42 @@ func plcRead(t *testing.T, r *CyberRange) uint16 {
 }
 
 func TestEPICRealTimeMode(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow: wall-clock soak, timing-sensitive on loaded CI runners")
-	}
+	// Real-time mode is paced StepAll: a session of k steps ends in exactly
+	// the state of a k-step batch run, with one PLC scan and one HMI poll per
+	// step, and no step runs once Stop has returned.
 	r := compiledEPIC(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	if err := r.Start(ctx, true); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(350 * time.Millisecond)
-	r.Stop()
-	steps, mean := r.Sim.Stats()
-	if steps < 2 {
-		t.Errorf("sim steps = %d", steps)
+	deadline := time.Now().Add(30 * time.Second)
+	for r.RealTimeStats().Steps < 5 {
+		if time.Now().After(deadline) {
+			t.Fatalf("real-time driver made %d steps in 30 s", r.RealTimeStats().Steps)
+		}
+		time.Sleep(r.Interval() / 10)
 	}
-	if mean > 100*time.Millisecond {
-		t.Errorf("mean solve %v exceeds interval", mean)
+	r.Stop()
+	st := r.RealTimeStats()
+	k := st.Steps
+	if st.Failures != 0 {
+		t.Errorf("failed steps = %d", st.Failures)
+	}
+	if st.MaxStep <= 0 {
+		t.Errorf("MaxStep = %v", st.MaxStep)
+	}
+
+	// The batch run also gives a leaked driver time to step again.
+	batch := runSteps(t, epicModelSet(t), k, (*CyberRange).StepAll)
+	if got := r.RealTimeStats().Steps; got != k || r.StepIndex() != k {
+		t.Errorf("steps after Stop: stats %d, step index %d, want %d", got, r.StepIndex(), k)
 	}
 	scans, _, _, _ := r.PLCs["CPLC"].Stats()
-	if scans < 2 {
-		t.Errorf("PLC scans = %d", scans)
+	if scans != uint64(k) || r.HMI.Polls() != uint64(k) {
+		t.Errorf("PLC scans = %d, HMI polls = %d, want %d each", scans, r.HMI.Polls(), k)
 	}
-	if r.HMI.Polls() < 1 {
-		t.Errorf("HMI polls = %d", r.HMI.Polls())
-	}
+	diffRanges(t, batch, r)
 }
 
 func TestCompileFromSerializedFiles(t *testing.T) {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -164,14 +165,14 @@ func TestParallelStepWorkerEdgeCases(t *testing.T) {
 		}
 		diffRanges(t, seq, par)
 	})
-	t.Run("workers=0 clamps to 1", func(t *testing.T) {
+	t.Run("workers=0 means GOMAXPROCS", func(t *testing.T) {
 		r, err := Compile(scaleModelSet(t, 1, 1), WithWorkers(0))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer r.Stop()
-		if r.Workers() != 1 {
-			t.Errorf("workers = %d, want 1", r.Workers())
+		if want := runtime.GOMAXPROCS(0); r.Workers() != want {
+			t.Errorf("workers = %d, want GOMAXPROCS = %d", r.Workers(), want)
 		}
 	})
 }

@@ -10,12 +10,12 @@
 // An IED is a netem host running an MMS server (measurements + breaker
 // control), a GOOSE publisher (status/trip events), optional GOOSE
 // subscription (CILO interlock guard), optional R-SV publish/subscribe
-// (PDIF differential exchange), and a periodic protection evaluation loop
-// coupled to the simulator through the kv bus.
+// (PDIF differential exchange), and a protection evaluation (Step) coupled to
+// the simulator through the kv bus, which the range's step engine calls once
+// per simulation interval.
 package ied
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -101,8 +101,6 @@ type Config struct {
 	RSVPeers []netem.IPv4
 	// MMSPort defaults to 102.
 	MMSPort uint16
-	// Period is the protection evaluation interval; default 100 ms.
-	Period time.Duration
 }
 
 type protState struct {
@@ -133,8 +131,6 @@ type IED struct {
 	ptoc, ptov, ptuv, pdif protState
 	events                 []Event
 	steps                  uint64
-	cancel                 context.CancelFunc
-	done                   chan struct{}
 }
 
 // enabled reports whether a protection class is both configured and declared
@@ -168,9 +164,6 @@ func (d *IED) enabled(class string) bool {
 
 // New builds the IED on a host coupled to the kv bus.
 func New(host *netem.Host, bus *kvbus.Bus, cfg Config) (*IED, error) {
-	if cfg.Period <= 0 {
-		cfg.Period = 100 * time.Millisecond
-	}
 	d := &IED{
 		cfg:        cfg,
 		host:       host,
@@ -247,39 +240,8 @@ func (d *IED) Serve() error {
 	return nil
 }
 
-// Run evaluates protection periodically until ctx is cancelled.
-func (d *IED) Run(ctx context.Context) {
-	runCtx, cancel := context.WithCancel(ctx)
-	done := make(chan struct{})
-	d.mu.Lock()
-	d.cancel = cancel
-	d.done = done
-	d.mu.Unlock()
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(d.cfg.Period)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-runCtx.Done():
-				return
-			case <-ticker.C:
-				d.Step(time.Now())
-			}
-		}
-	}()
-}
-
-// Stop halts the loop and servers.
+// Stop halts the publishers and servers.
 func (d *IED) Stop() {
-	d.mu.Lock()
-	cancel, done := d.cancel, d.done
-	d.cancel = nil
-	d.mu.Unlock()
-	if cancel != nil {
-		cancel()
-		<-done
-	}
 	if d.gpub != nil {
 		d.gpub.Stop()
 	}

@@ -1,7 +1,6 @@
 package ied
 
 import (
-	stdcontext "context"
 	"strings"
 	"testing"
 	"time"
@@ -446,24 +445,5 @@ func TestPDIFDifferentialTrip(t *testing.T) {
 	}
 	if busA.GetBool(kvbus.BreakerCmdKey("subA", "CBA"), true) {
 		t.Error("A breaker not opened")
-	}
-}
-
-func TestRunLoop(t *testing.T) {
-	hosts := lan(t, 1)
-	bus := kvbus.New()
-	d, err := New(hosts[0], bus, Config{
-		Name: "GIED1", Substation: "epic", Entry: baseEntry(), Period: 5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := stdcontext.WithCancel(stdcontext.Background())
-	defer cancel()
-	d.Run(ctx)
-	time.Sleep(50 * time.Millisecond)
-	d.Stop()
-	if d.Steps() < 3 {
-		t.Errorf("steps = %d", d.Steps())
 	}
 }

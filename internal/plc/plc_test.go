@@ -1,7 +1,6 @@
 package plc
 
 import (
-	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -166,7 +165,7 @@ func TestScanReadsExecutesWrites(t *testing.T) {
 	r := newRig(t)
 	p := newPLC(t, r)
 	defer p.Stop()
-	if err := p.ServeModbusOnly(); err != nil {
+	if err := p.Serve(); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Scan(time.Now()); err != nil {
@@ -213,7 +212,7 @@ func TestSCADACommandViaModbus(t *testing.T) {
 	r := newRig(t)
 	p := newPLC(t, r)
 	defer p.Stop()
-	if err := p.ServeModbusOnly(); err != nil {
+	if err := p.Serve(); err != nil {
 		t.Fatal(err)
 	}
 	p.Scan(time.Now())
@@ -249,27 +248,6 @@ func TestSCADACommandViaModbus(t *testing.T) {
 	st, _ = cli.ReadDiscreteInputs(0, 1)
 	if st[0] {
 		t.Error("exposed breaker status still closed")
-	}
-}
-
-func TestRunLoop(t *testing.T) {
-	r := newRig(t)
-	p := newPLC(t, r)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	pCfgScan := 5 * time.Millisecond
-	p.cfg.ScanTime = pCfgScan
-	if err := p.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Start(ctx); !errors.Is(err, ErrAlreadyRun) {
-		t.Errorf("double start = %v", err)
-	}
-	time.Sleep(60 * time.Millisecond)
-	p.Stop()
-	scans, _, _, _ := p.Stats()
-	if scans < 3 {
-		t.Errorf("scan loop made %d scans", scans)
 	}
 }
 

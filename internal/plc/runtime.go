@@ -1,7 +1,6 @@
 package plc
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -16,10 +15,8 @@ import (
 
 // Runtime errors.
 var (
-	ErrNotStarted = errors.New("plc: runtime not started")
 	ErrUnknownVar = errors.New("plc: binding references unknown ST variable")
 	ErrUnknownIED = errors.New("plc: binding references unconnected IED")
-	ErrAlreadyRun = errors.New("plc: runtime already started")
 )
 
 // MMSBinding couples an ST variable to an IED object over MMS.
@@ -56,8 +53,7 @@ type CommandBinding struct {
 
 // Config assembles a PLC runtime.
 type Config struct {
-	Name     string
-	ScanTime time.Duration // default 100 ms
+	Name string
 	// Modbus table sizes; defaults 64/64/128/128.
 	Coils, Discrete, Holding, Input int
 	ModbusPort                      uint16
@@ -77,17 +73,13 @@ type PLC struct {
 	mb   *modbus.Server
 
 	mu        sync.Mutex
-	mbServed  bool
 	ieds      map[string]*iedConn
 	lastWrite map[string]st.Value // per output binding key, to write on change
 	pending   []pendingCmd
-	started   bool
 	scans     uint64
 	scanNS    int64
 	readErrs  uint64
 	writeErrs uint64
-	cancel    context.CancelFunc
-	done      chan struct{}
 }
 
 type pendingCmd struct {
@@ -115,9 +107,6 @@ const connFailThreshold = 2
 
 // New parses the ST source and builds the runtime on a host.
 func New(host *netem.Host, cfg Config, stSource string) (*PLC, error) {
-	if cfg.ScanTime <= 0 {
-		cfg.ScanTime = 100 * time.Millisecond
-	}
 	if cfg.Coils == 0 {
 		cfg.Coils = 64
 	}
@@ -196,7 +185,7 @@ func upper(s string) string {
 }
 
 // ConnectIED registers an MMS association to a southbound IED. If the
-// association later breaks, the scan loop redials it with a backoff.
+// association later breaks, Scan redials it with a backoff.
 func (p *PLC) ConnectIED(name string, ip netem.IPv4, port uint16) error {
 	cli, err := mms.Dial(p.host, ip, port, mms.DialOptions{Vendor: "openplc61850-sgml", Timeout: time.Second})
 	if err != nil {
@@ -235,45 +224,9 @@ func (p *PLC) noteIEDSuccess(name string) {
 	p.mu.Unlock()
 }
 
-// Start serves Modbus northbound and begins the scan loop.
-func (p *PLC) Start(ctx context.Context) error {
-	p.mu.Lock()
-	if p.started {
-		p.mu.Unlock()
-		return ErrAlreadyRun
-	}
-	p.started = true
-	p.mu.Unlock()
-	if err := p.ensureModbus(); err != nil {
-		return err
-	}
-	runCtx, cancel := context.WithCancel(ctx)
-	done := make(chan struct{})
-	p.mu.Lock()
-	p.cancel = cancel
-	p.done = done
-	p.mu.Unlock()
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(p.cfg.ScanTime)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-runCtx.Done():
-				return
-			case <-ticker.C:
-				_ = p.Scan(time.Now())
-			}
-		}
-	}()
-	return nil
-}
-
-// Stop halts the scan loop and tears down connections.
+// Stop tears down the northbound server and southbound connections.
 func (p *PLC) Stop() {
 	p.mu.Lock()
-	cancel, done := p.cancel, p.done
-	p.cancel = nil
 	clients := make([]*mms.Client, 0, len(p.ieds))
 	for _, c := range p.ieds {
 		if c.cli != nil {
@@ -281,31 +234,15 @@ func (p *PLC) Stop() {
 		}
 	}
 	p.mu.Unlock()
-	if cancel != nil {
-		cancel()
-		<-done
-	}
 	p.mb.Close()
 	for _, c := range clients {
 		_ = c.Close()
 	}
 }
 
-// ServeModbusOnly starts the northbound server without the scan loop
-// (step-driven tests and benches call Scan explicitly).
-func (p *PLC) ServeModbusOnly() error { return p.ensureModbus() }
-
-// ensureModbus starts the northbound server exactly once.
-func (p *PLC) ensureModbus() error {
-	p.mu.Lock()
-	if p.mbServed {
-		p.mu.Unlock()
-		return nil
-	}
-	p.mbServed = true
-	p.mu.Unlock()
-	return p.mb.Serve(p.host, p.cfg.ModbusPort)
-}
+// Serve starts the northbound Modbus server. Scans are driven by the caller
+// (Scan), once per range step.
+func (p *PLC) Serve() error { return p.mb.Serve(p.host, p.cfg.ModbusPort) }
 
 // Modbus returns the northbound server (tests assert on its tables).
 func (p *PLC) Modbus() *modbus.Server { return p.mb }

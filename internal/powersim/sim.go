@@ -3,14 +3,14 @@
 // The paper couples a one-shot steady-state solver to the cyber side by
 // re-running it periodically (e.g. every 100 ms) with the breaker states
 // written by virtual IEDs and the load values of a time-series profile
-// (§III-B, §III-C). This package implements that loop: a Simulator owns a
+// (§III-B, §III-C). This package implements one step of that loop (the
+// range's step engine runs the loop itself): a Simulator owns a
 // powergrid.Network, applies scheduled scenario events and breaker commands
 // read from the kv bus, solves the flow (warm-started from the previous
 // step), and publishes measurements back onto the bus for the IEDs to read.
 package powersim
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -341,23 +341,4 @@ func (s *Simulator) publishLocked(res *powerflow.Result) {
 	}
 	s.bus.SetInt("pw/"+name+"/meta/steps", int64(s.steps))
 	s.bus.SetInt("pw/"+name+"/meta/islands", int64(res.Islands))
-}
-
-// Run steps the simulation in real time until ctx is cancelled. Each tick
-// advances simulation time by the configured interval. Solve errors (e.g. a
-// scenario-induced divergence) are delivered to onErr if non-nil and the loop
-// continues, matching the paper's interactive, operator-in-the-loop usage.
-func (s *Simulator) Run(ctx context.Context, onErr func(error)) {
-	ticker := time.NewTicker(s.opts.Interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-			if _, err := s.Step(); err != nil && onErr != nil {
-				onErr(err)
-			}
-		}
-	}
 }

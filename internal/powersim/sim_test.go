@@ -1,7 +1,6 @@
 package powersim
 
 import (
-	"context"
 	"errors"
 	"testing"
 	"time"
@@ -272,57 +271,6 @@ func TestStepAtMonotonic(t *testing.T) {
 	if got := sim.SimTime(); got != time.Second {
 		t.Errorf("SimTime = %v, want 1s (no rewind)", got)
 	}
-}
-
-func TestRunRealTimeLoop(t *testing.T) {
-	bus := kvbus.New()
-	sim := New(testNet(), bus, Options{Interval: 5 * time.Millisecond})
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		sim.Run(ctx, nil)
-	}()
-	time.Sleep(60 * time.Millisecond)
-	cancel()
-	<-done
-	steps, _ := sim.Stats()
-	if steps < 3 {
-		t.Errorf("real-time loop made %d steps, want >= 3", steps)
-	}
-	if v, ok := bus.Get("pw/sub1/meta/steps"); !ok {
-		t.Error("meta steps not published")
-	} else if iv, _ := v.Int(); iv == 0 {
-		t.Error("meta steps is zero")
-	}
-}
-
-func TestRunDeliversSolveErrors(t *testing.T) {
-	sim := New(testNet(), kvbus.New(), Options{Interval: time.Millisecond})
-	sim.Schedule(Event{At: 0, Kind: SetLoadScale, Element: "nope", Value: 1})
-	errCh := make(chan error, 1)
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		sim.Run(ctx, func(err error) {
-			select {
-			case errCh <- err:
-			default:
-			}
-		})
-	}()
-	select {
-	case err := <-errCh:
-		if !errors.Is(err, ErrUnknownElement) {
-			t.Errorf("err = %v", err)
-		}
-	case <-time.After(time.Second):
-		t.Error("no error delivered")
-	}
-	cancel()
-	<-done
 }
 
 func TestSimulatorDoesNotMutateInput(t *testing.T) {

@@ -14,7 +14,6 @@
 package scada
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -118,8 +117,6 @@ type HMI struct {
 	events  []Event
 	polls   uint64
 	diag    func() string // optional diagnostics footer for StatusPanel
-	cancel  context.CancelFunc
-	done    chan struct{}
 }
 
 // SetDiagnostics installs a provider whose one-line (or multi-line) text is
@@ -216,55 +213,17 @@ func (h *HMI) dropConnection(s *source) {
 	s.mu.Unlock()
 }
 
-// Close releases all connections and stops polling.
+// Close releases all connections.
 func (h *HMI) Close() {
 	h.mu.Lock()
-	cancel, done := h.cancel, h.done
-	h.cancel = nil
 	srcs := make([]*source, 0, len(h.sources))
 	for _, s := range h.sources {
 		srcs = append(srcs, s)
 	}
 	h.mu.Unlock()
-	if cancel != nil {
-		cancel()
-		<-done
-	}
 	for _, s := range srcs {
 		h.dropConnection(s)
 	}
-}
-
-// Run polls all sources at their configured periods until ctx is cancelled.
-func (h *HMI) Run(ctx context.Context) {
-	period := time.Second
-	h.mu.Lock()
-	for _, s := range h.sources {
-		if p := time.Duration(s.cfg.UpdatePeriodMS) * time.Millisecond; p > 0 && p < period {
-			period = p
-		}
-	}
-	h.mu.Unlock()
-	runCtx, cancel := context.WithCancel(ctx)
-	done := make(chan struct{})
-	h.mu.Lock()
-	h.cancel = cancel
-	h.done = done
-	h.mu.Unlock()
-	go func() {
-		defer close(done)
-		h.PollOnce() // immediate first poll, then periodic
-		ticker := time.NewTicker(period)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-runCtx.Done():
-				return
-			case <-ticker.C:
-				h.PollOnce()
-			}
-		}
-	}()
 }
 
 // PollOnce reads every data point once.

@@ -1,11 +1,9 @@
 package scada
 
 import (
-	"context"
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/mms"
 	"repro/internal/modbus"
@@ -223,19 +221,6 @@ func TestCommFailAndRestore(t *testing.T) {
 	// MMS source is unaffected.
 	if p, _ := h.Point("DP_amps"); p.Quality != QualityGood {
 		t.Errorf("MMS point quality = %v", p.Quality)
-	}
-}
-
-func TestRunLoopPolls(t *testing.T) {
-	r := newRig(t)
-	h := newHMI(t, r)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	h.Run(ctx)
-	time.Sleep(150 * time.Millisecond)
-	h.Close()
-	if h.Polls() < 2 {
-		t.Errorf("polls = %d", h.Polls())
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 type PLCConfig struct {
 	XMLName    xml.Name     `xml:"PLCConfig"`
 	Name       string       `xml:"name,attr"`
-	Host       string       `xml:"host,attr"` // node name in the SCD
-	ScanMS     int          `xml:"scanMs,attr"`
+	Host       string       `xml:"host,attr"`   // node name in the SCD
+	ScanMS     int          `xml:"scanMs,attr"` // model input only: the range scans each PLC once per step
 	ModbusPort int          `xml:"modbusPort,attr"`
 	Inputs     []PLCBinding `xml:"Input"`
 	Outputs    []PLCBinding `xml:"Output"`

@@ -23,7 +23,7 @@ type ScadaImportSource struct {
 	Host           string `json:"host"`
 	IP             string `json:"ip"`
 	Port           int    `json:"port"`
-	UpdatePeriodMS int    `json:"updatePeriodMs"`
+	UpdatePeriodMS int    `json:"updatePeriodMs"` // import format only: the range polls the HMI once per step
 	Enabled        bool   `json:"enabled"`
 }
 

@@ -1030,46 +1030,6 @@ func BenchmarkScale_CampaignThroughput(b *testing.B) {
 // Ablations — design choices called out in DESIGN.md
 // ---------------------------------------------------------------------------
 
-func BenchmarkAblation_ParallelStepEngine(b *testing.B) {
-	// The tentpole ablation: whole-range step at the paper's 5x20 target
-	// size, sequential reference engine vs the sharded two-phase engine at
-	// increasing worker counts. Both paths produce byte-identical state
-	// (TestParallelStepDeterminism*); this measures the latency they pay
-	// for it.
-	runEngine := func(b *testing.B, step func(*sgml.CyberRange, time.Time) error, opts ...sgml.CompileOption) {
-		b.Helper()
-		ms, _, err := sgml.ScaleModelSet(5, 20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r, err := sgml.Compile(ms, opts...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer r.Stop()
-		if err := r.Start(context.Background(), false); err != nil {
-			b.Fatal(err)
-		}
-		now := time.Now()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			now = now.Add(r.Interval())
-			if err := step(r, now); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("sequential", func(b *testing.B) {
-		runEngine(b, (*sgml.CyberRange).StepAllSequential)
-	})
-	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("parallel/workers=%d", workers), func(b *testing.B) {
-			runEngine(b, (*sgml.CyberRange).StepAll, sgml.WithWorkers(workers))
-		})
-	}
-}
-
 func BenchmarkAblation_PowerFlowWarmStart(b *testing.B) {
 	ms, _, err := sgml.ScaleModelSet(5, 20)
 	if err != nil {

@@ -66,13 +66,6 @@ const (
 	FailCancelled = core.FailCancelled
 )
 
-// WithCampaignWorkers sets how many runs execute concurrently (default
-// runtime.GOMAXPROCS); 1 executes the sweep sequentially.
-//
-// Deprecated: WithCampaignWorkers is the pre-unification name; it is exactly
-// WithWorkers restricted to campaigns. Use WithWorkers.
-func WithCampaignWorkers(n int) CampaignOption { return core.WithCampaignWorkers(n) }
-
 // WithPerRunCompile makes RunCampaign compile a fresh range for every run
 // (the pre-fork reference path) instead of compiling each distinct model once
 // and forking per run. The two paths produce byte-identical run fingerprints;
@@ -183,7 +176,7 @@ func campaignFromConfig(cfg *sgmlconf.CampaignConfig, baseDir string, model *Mod
 		if label == "" {
 			label = fmt.Sprintf("#%d", i+1)
 		}
-		v := CampaignVariant{Name: vc.Name, Repeat: vc.Repeat, Sequential: vc.Sequential, MaxSteps: vc.MaxSteps}
+		v := CampaignVariant{Name: vc.Name, Repeat: vc.Repeat, MaxSteps: vc.MaxSteps}
 		scPath := filepath.Join(baseDir, vc.Scenario)
 		sc, ok := scenarios[scPath]
 		if !ok {
@@ -211,11 +204,6 @@ func campaignFromConfig(cfg *sgmlconf.CampaignConfig, baseDir string, model *Mod
 			return nil, fmt.Errorf("campaign variant %s: %w", label, err)
 		}
 		v.Seeds = seeds
-		pooling, err := vc.FramePoolingChoice()
-		if err != nil {
-			return nil, fmt.Errorf("campaign variant %s: %w", label, err)
-		}
-		v.FramePooling = pooling
 		c.Variants = append(c.Variants, v)
 	}
 	return c, nil

@@ -15,9 +15,8 @@ import (
 	"repro/netem"
 )
 
-// sweepCampaign is the determinism workload: the same drill under the
-// shipped configuration and under the reference engine + reference data
-// plane, with a repeated-seed variant probing replay stability.
+// sweepCampaign is the determinism workload: the same drill over two seeds,
+// each run twice to probe replay stability.
 func sweepCampaign(ms *sgml.ModelSet) *sgml.Campaign {
 	drill := &sgml.Scenario{
 		Name:  "sweep-drill",
@@ -35,23 +34,20 @@ func sweepCampaign(ms *sgml.ModelSet) *sgml.Campaign {
 				Ref: "LD0/XCBR1.Pos.Oper", Value: mms.NewBool(false)}},
 		},
 	}
-	reference := false
 	return &sgml.Campaign{
 		Name:  "determinism-sweep",
 		Model: ms,
 		Variants: []sgml.CampaignVariant{
-			{Name: "parallel", Scenario: drill, Seeds: []int64{1, 2}, Repeat: 2},
-			{Name: "reference", Scenario: drill, Seeds: []int64{1}, Sequential: true,
-				FramePooling: &reference},
+			{Name: "sweep", Scenario: drill, Seeds: []int64{1, 2}, Repeat: 2},
 		},
 	}
 }
 
 // TestCampaignDeterminism pins the campaign layer's contract: the sweep's
 // run fingerprints are a pure function of each run's (model, scenario, seed)
-// — identical regardless of worker count, run ordering, step engine or data
-// plane, with repeated seeds collapsing to one fingerprint (and the runs all
-// sharing one parsed ModelSet, -race clean).
+// — identical regardless of worker count or run ordering, with repeated seeds
+// collapsing to one fingerprint (and the runs all sharing one parsed
+// ModelSet, -race clean).
 func TestCampaignDeterminism(t *testing.T) {
 	ms, err := sgml.EPICModelSet()
 	if err != nil {
@@ -61,7 +57,7 @@ func TestCampaignDeterminism(t *testing.T) {
 	key := func(r *sgml.CampaignRun) [3]interface{} { return [3]interface{}{r.Variant, r.Seed, r.Attempt} }
 	var want map[[3]interface{}]string
 	for _, workers := range []int{1, 4} {
-		rep, err := sgml.RunCampaign(context.Background(), sweepCampaign(ms), sgml.WithCampaignWorkers(workers))
+		rep, err := sgml.RunCampaign(context.Background(), sweepCampaign(ms), sgml.WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,8 +65,8 @@ func TestCampaignDeterminism(t *testing.T) {
 			t.Fatalf("workers=%d: failures=%d determinism mismatches=%d\n%s",
 				workers, rep.Failures, len(rep.Determinism), rep)
 		}
-		if rep.TotalRuns != 5 {
-			t.Fatalf("workers=%d: runs = %d, want 5", workers, rep.TotalRuns)
+		if rep.TotalRuns != 4 {
+			t.Fatalf("workers=%d: runs = %d, want 4", workers, rep.TotalRuns)
 		}
 		got := make(map[[3]interface{}]string, len(rep.Runs))
 		for i := range rep.Runs {
@@ -83,17 +79,12 @@ func TestCampaignDeterminism(t *testing.T) {
 				t.Errorf("workers=%d: run %v recall = %v, want 1", workers, key(run), run.Recall)
 			}
 		}
-		// Same seed, different engine/data plane: same outcome. The repeated
-		// seed-1 attempts of "parallel" and the sequential reference run must
-		// all share one fingerprint.
-		p1 := got[[3]interface{}{"parallel", int64(1), 1}]
-		if got[[3]interface{}{"reference", int64(1), 1}] != p1 {
-			t.Errorf("workers=%d: reference engine fingerprint diverged from parallel", workers)
-		}
-		if got[[3]interface{}{"parallel", int64(1), 2}] != p1 {
+		// The repeated seed-1 attempts share one fingerprint; seed 2 differs.
+		p1 := got[[3]interface{}{"sweep", int64(1), 1}]
+		if got[[3]interface{}{"sweep", int64(1), 2}] != p1 {
 			t.Errorf("workers=%d: repeated seed fingerprint diverged", workers)
 		}
-		if got[[3]interface{}{"parallel", int64(2), 1}] == p1 {
+		if got[[3]interface{}{"sweep", int64(2), 1}] == p1 {
 			t.Errorf("workers=%d: different seed produced identical fingerprint", workers)
 		}
 		if want == nil {
@@ -109,7 +100,8 @@ func TestCampaignDeterminism(t *testing.T) {
 }
 
 // TestCampaignXMLForm drives the fifth supplementary schema end to end:
-// parse, seed-range expansion, toggle resolution, and the JSON report shape.
+// parse, seed-range expansion, retired attributes ignored, and the JSON
+// report shape.
 func TestCampaignXMLForm(t *testing.T) {
 	ms, err := sgml.EPICModelSet()
 	if err != nil {
@@ -138,11 +130,10 @@ func TestCampaignXMLForm(t *testing.T) {
 	if len(a.Seeds) != 4 || a.Seeds[0] != 1 || a.Seeds[2] != 3 || a.Seeds[3] != 9 {
 		t.Errorf("seed range expansion = %v", a.Seeds)
 	}
-	if a.FramePooling != nil || a.Sequential {
-		t.Errorf("variant a toggles = %+v", a)
-	}
-	if b.FramePooling == nil || *b.FramePooling || !b.Sequential || b.Repeat != 2 {
-		t.Errorf("variant b toggles = %+v", b)
+	// Variant b still carries the retired sequential/framePooling
+	// attributes; they parse and are ignored.
+	if b.Repeat != 2 {
+		t.Errorf("variant b repeat = %d, want 2", b.Repeat)
 	}
 	if a.Scenario != b.Scenario {
 		t.Error("shared scenario file loaded twice")

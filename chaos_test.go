@@ -57,13 +57,13 @@ func TestCampaignChaosDifferential(t *testing.T) {
 			}
 			baseFPs := fingerprintMap(t, base)
 
-			// Chaotic run: panic in parallel:3:1 step 2, parallel:5:1 wedged
+			// Chaotic run: panic in sweep:3:1 step 2, sweep:5:1 wedged
 			// at step 1 until its deadline kills it, and the sweep's second
 			// store append fails once. All first-attempt faults; WithRetries
 			// must recover every one of them.
 			plan := faultinject.NewPlan(1).
-				PanicRun("parallel", 3, 1, 2).
-				DelayRun("parallel", 5, 1, 1).
+				PanicRun("sweep", 3, 1, 2).
+				DelayRun("sweep", 5, 1, 1).
 				FailStoreAppends(2)
 			chaosDir := t.TempDir()
 			opts = append([]sgml.CampaignOption{
@@ -139,7 +139,7 @@ func TestCampaignChaosPanicWithoutRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := faultinject.NewPlan(1).PanicRun("parallel", 2, 1, 1)
+	plan := faultinject.NewPlan(1).PanicRun("sweep", 2, 1, 1)
 	dir := t.TempDir()
 	rep, err := sgml.RunCampaign(context.Background(), storeSweep(ms),
 		sgml.WithWorkers(2),
@@ -160,7 +160,7 @@ func TestCampaignChaosPanicWithoutRetries(t *testing.T) {
 			bad = &rep.Runs[i]
 		}
 	}
-	if bad == nil || bad.Variant != "parallel" || bad.Seed != 2 {
+	if bad == nil || bad.Variant != "sweep" || bad.Seed != 2 {
 		t.Fatalf("wrong failed run: %+v", bad)
 	}
 	if bad.Failure != sgml.FailPanic || !strings.Contains(bad.Err, "panic") {

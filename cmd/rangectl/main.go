@@ -8,7 +8,7 @@
 //
 // Execute a declarative scenario headlessly and print the structured report:
 //
-//	rangectl scenario run <model-dir> <scenario-file> [-seed N] [-sequential]
+//	rangectl scenario run <model-dir> <scenario-file> [-seed N]
 //
 // Execute a campaign — a concurrent sweep of scenario runs — and print the
 // aggregated report (optionally also as JSON):
@@ -115,11 +115,10 @@ func parsePositionals(fs *flag.FlagSet, args []string, want int) ([]string, erro
 // scenarioMain implements "rangectl scenario run <model-dir> <scenario-file>".
 func scenarioMain(args []string) error {
 	if len(args) < 1 || args[0] != "run" {
-		return fmt.Errorf("usage: rangectl scenario run <model-dir> <scenario-file> [-seed N] [-sequential]")
+		return fmt.Errorf("usage: rangectl scenario run <model-dir> <scenario-file> [-seed N]")
 	}
 	fs := flag.NewFlagSet("scenario run", flag.ExitOnError)
 	seed := fs.Int64("seed", 0, "replay seed (0 uses the scenario file's seed)")
-	sequential := fs.Bool("sequential", false, "drive the single-threaded reference step engine")
 	name := fs.String("name", "range", "range name")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: rangectl scenario run <model-dir> <scenario-file> [flags]")
@@ -141,9 +140,6 @@ func scenarioMain(args []string) error {
 	var opts []sgml.RunOption
 	if *seed != 0 {
 		opts = append(opts, sgml.WithSeed(*seed))
-	}
-	if *sequential {
-		opts = append(opts, sgml.WithSequential())
 	}
 	cr, err := sgml.Compile(ms)
 	if err != nil {
@@ -173,7 +169,6 @@ func searchMain(args []string) error {
 	budget := fs.Int("budget", 0, "candidate evaluations (0 uses the library default)")
 	workers := fs.Int("workers", 0, "concurrent candidate evaluations (never changes the finds)")
 	maxSteps := fs.Int("max-steps", 0, "per-candidate step cap (0 uses the library default)")
-	sequential := fs.Bool("sequential", false, "evaluate candidates under the single-threaded reference step engine")
 	out := fs.String("out", "", "write each find's minimized repro into this corpus directory")
 	name := fs.String("name", "range", "range name")
 	fs.Usage = func() {
@@ -198,7 +193,6 @@ func searchMain(args []string) error {
 		Budget:     *budget,
 		Workers:    *workers,
 		MaxSteps:   *maxSteps,
-		Sequential: *sequential,
 	})
 	if err != nil {
 		return err

@@ -68,7 +68,8 @@ func TestScenarioRunHappyPath(t *testing.T) {
 }
 
 // TestCampaignRunSmoke drives "rangectl campaign run" end to end on a small
-// sweep: human summary, JSON artifact, zero exit.
+// sweep: human summary, JSON artifact, zero exit. Variant b carries the
+// retired sequential attribute, which still loads and is ignored.
 func TestCampaignRunSmoke(t *testing.T) {
 	model := writeEPICModelDir(t)
 	dir := t.TempDir()
@@ -103,7 +104,7 @@ func TestCampaignRunSmoke(t *testing.T) {
 }
 
 // writeMiniCampaign lays down the small sweep used by the store tests: two
-// variants (one sequential), four runs total.
+// variants, four runs total.
 func writeMiniCampaign(t *testing.T, dir string) string {
 	t.Helper()
 	writeFile(t, dir, "mini.scenario.xml",
@@ -113,7 +114,7 @@ func writeMiniCampaign(t *testing.T, dir string) string {
 	return writeFile(t, dir, "mini.campaign.xml",
 		`<Campaign name="mini-sweep" workers="2">
   <Variant name="a" scenario="mini.scenario.xml" seeds="1-2"/>
-  <Variant name="b" scenario="mini.scenario.xml" seeds="1" repeat="2" sequential="true"/>
+  <Variant name="b" scenario="mini.scenario.xml" seeds="1" repeat="2"/>
 </Campaign>`)
 }
 

@@ -63,13 +63,13 @@
 // (DeployIDS).
 //
 // The scheduler is deterministic: it is woven into the step loop as pre/post
-// step hooks, so events fire at identical points under the parallel and the
-// sequential engine, and every randomised choice (attacker MAC derivation,
+// step hooks, so events fire at fixed points of the step order, and every
+// randomised choice (attacker MAC derivation,
 // scan order, the fabric's frame-loss draw sequence) derives from one seed
 // (WithSeed). A fixed (model, scenario, seed) triple replays byte-identically
 // — RunReport.Fingerprint canonicalises the deterministic projection of the
-// report, and the determinism tests pin it across engines and data-plane
-// modes. (The one caveat is LinkLoss: the draw sequence is seeded, but which
+// report, and the determinism tests pin it across repeated runs and both
+// data planes. (The one caveat is LinkLoss: the draw sequence is seeded, but which
 // concurrent frame consumes which draw is scheduling-dependent, so keep
 // asserted outcomes off lossy links — see LinkLoss.) Scenarios also have a declarative XML form (ParseScenario,
 // LoadScenarioFile; schema in internal/sgmlconf) consumed by
@@ -82,8 +82,8 @@
 // # Campaigns
 //
 // A Campaign is the population form of a scenario experiment: a declarative
-// sweep of scenario variants × seed lists × engine/data-plane toggles,
-// executed by RunCampaign on a bounded worker pool (WithWorkers) with one
+// sweep of scenario variants × seed lists × repeats, executed by
+// RunCampaign on a bounded worker pool (WithWorkers) with one
 // isolated CyberRange per run. Each distinct model is compiled once and every
 // run forks the compiled root (see Forking below); WithPerRunCompile restores
 // the reference behaviour of compiling a fresh range per run. Either way every
@@ -111,8 +111,7 @@
 // cell from the store (marked CampaignRun.Resumed, counted in
 // CampaignReport.Resumed) and executes only the missing ones; an
 // interrupted-then-resumed sweep yields run fingerprints byte-identical to
-// the same sweep run uninterrupted, across both provisioning paths and both
-// step engines.
+// the same sweep run uninterrupted, across both provisioning paths.
 //
 // When a sweep completes cleanly, the store seals it: a Merkle root over the
 // run fingerprints, sorted by (variant, seed, attempt), is written alongside
@@ -124,7 +123,7 @@
 //	rangectl campaign run models/epic sweep.campaign.xml -store results/
 //	rangectl campaign run models/epic sweep.campaign.xml -store results/ -resume
 //	rangectl campaign verify results/                    # whole-store audit
-//	rangectl campaign verify results/ -run parallel:7:1  # one inclusion proof
+//	rangectl campaign verify results/ -run sweep:1:1     # one inclusion proof
 //
 // Migration note: CampaignReport.Runs keeps its spec-expansion order —
 // completion order, worker count and resume never reorder it.
@@ -183,7 +182,7 @@
 // re-parses and replays to its recorded Fingerprint under the recorded
 // WithMaxSteps cap. A fixed (model, seed scenario, search seed, budget)
 // reproduces the same finds, minimized repros and fingerprints across both
-// step engines, both provisioning paths and any worker count:
+// provisioning paths and any worker count:
 //
 //	res, _ := sgml.Search(ctx, ms, seed, sgml.SearchOptions{SearchSeed: 3, Budget: 16})
 //	for _, f := range res.Finds {
@@ -191,7 +190,7 @@
 //	}
 //
 // Finds persist as a regression corpus (WriteSearchCorpus/ReadSearchCorpus;
-// testdata/corpus is the checked-in one, replayed by CI under both engines),
+// testdata/corpus is the checked-in one, replayed by CI),
 // and the whole loop runs from the command line:
 //
 //	rangectl search models/epic seed.scenario.xml -search-seed 3 -budget 16 -out corpus/
@@ -214,42 +213,26 @@
 // isolated sibling in about a millisecond: forks share only read-only
 // artifacts (plus a recycler that hands stopped forks' fabric inboxes to the
 // next fork), and a forked range is indistinguishable from a freshly compiled
-// one — identical run fingerprints under both step engines and both data
-// planes, pinned by TestForkDeterminism. RunCompiled is the one-shot form:
+// one — identical run fingerprints under both data planes, pinned by
+// TestForkDeterminism. RunCompiled is the one-shot form:
 //
 //	cr, _ := sgml.Compile(ms)
 //	defer cr.Stop()
 //	rep, _ := sgml.RunCompiled(ctx, cr, sc, sgml.WithSeed(7))   // runs on a private fork
 //
-// Option families are unified around this split: WithWorkers is a
-// sgml.Option accepted by Compile (engine default), Run/RunCompiled (per-run
-// override) and RunCampaign (pool size). WithCampaignWorkers remains as a
-// deprecated alias — migrate by renaming the call; the argument and
-// semantics are unchanged.
+// WithWorkers is a sgml.Option: RunCampaign reads it as its pool size, and
+// Compile and Run/RunCompiled accept and ignore it.
 //
-// # Parallel step engine
+// # Step order
 //
-// StepAll advances the device layer with a sharded, deterministic two-phase
-// engine. At compile time the range is partitioned into per-substation
-// shards (the model's natural hierarchy; ModelSet.ShardHints can override
-// the attribution). Each step then runs two phases:
-//
-//  1. Compute — shards execute concurrently on a bounded worker pool, each
-//     stepping its IEDs in sorted order. Bus writes (breaker trip commands)
-//     are buffered into per-IED transactions, so every device reads the
-//     same pre-step simulator state it would see sequentially.
-//  2. Commit — the buffered transactions are applied to the kv bus in
-//     globally sorted IED order, reproducing the sequential engine's write
-//     order exactly.
-//
-// PLC scans and the HMI poll follow against the committed state. The kv bus
-// and HMI state is byte-identical to CyberRange.StepAllSequential — the
-// single-threaded reference path — while step latency scales with
-// substation count instead of total device count. (GOOSE/R-SV arrival
-// timing is asynchronous under both engines and is not part of that
-// contract.) WithWorkers sets the pool size (default runtime.GOMAXPROCS):
-//
-//	r, _ := sgml.Compile(ms, sgml.WithWorkers(4))
+// StepAll advances the whole range one interval on the calling goroutine, in
+// a fixed order: the scenario pre-hook, the power solve, every IED in name
+// order (trip commands written straight to the kv bus), every PLC scan in
+// CyberRange.Shards order (per substation, then by name; all are scanned
+// before the first error is returned), one HMI poll, the post-hook. Campaigns
+// and searches get their parallelism from running whole runs concurrently.
+// GOOSE/R-SV arrival timing is asynchronous and not part of the replay
+// contract.
 //
 // # Sparse warm-path power flow
 //
@@ -289,8 +272,8 @@
 //     all their data, so protocol consumers are retention-safe by default.
 //
 // The legacy copy-per-publish semantics remain selectable as the reference
-// path via netem's Network.SetFramePooling(false) — mirroring the
-// StepAllSequential and dense-solver precedents — and differential tests pin
+// path via netem's Network.SetFramePooling(false), a test oracle like the
+// dense solver, and differential tests pin
 // delivered payloads, capture output and IDS verdicts byte-identical across
 // the two paths. CyberRange.DataPlaneStats (and the HMI status panel's
 // diagnostics footer) reports frames transmitted/dropped and the payload

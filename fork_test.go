@@ -10,7 +10,7 @@ import (
 
 // TestForkDeterminism pins the fork contract: a run on a forked range is
 // byte-identical to a run on a freshly compiled range for the same (model,
-// scenario, seed), under both step engines, both data planes, and when many
+// scenario, seed), under both data planes, and when many
 // forks of one compiled root run concurrently (the campaign pool's shape;
 // the -race build of this test is CI's fork soundness check).
 func TestForkDeterminism(t *testing.T) {
@@ -26,9 +26,15 @@ func TestForkDeterminism(t *testing.T) {
 	}
 	defer root.Stop()
 
-	runForked := func(t *testing.T, opts ...sgml.RunOption) *sgml.RunReport {
+	runForked := func(t *testing.T, pooling bool) *sgml.RunReport {
 		t.Helper()
-		rep, err := sgml.RunCompiled(context.Background(), root, drillScenario(), opts...)
+		fork, err := root.Fork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fork.Stop()
+		fork.Net.SetFramePooling(pooling)
+		rep, err := sgml.RunRange(context.Background(), fork, drillScenario())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,17 +45,15 @@ func TestForkDeterminism(t *testing.T) {
 	}
 
 	variants := []struct {
-		name string
-		opts []sgml.RunOption
+		name    string
+		pooling bool
 	}{
-		{"forked", nil},
-		{"forked again", nil}, // second fork off the same root (recycled fabric)
-		{"forked sequential engine", []sgml.RunOption{sgml.WithSequential()}},
-		{"forked frame pooling off", []sgml.RunOption{sgml.WithFramePooling(false)}},
-		{"forked sequential + pooling off", []sgml.RunOption{sgml.WithSequential(), sgml.WithFramePooling(false)}},
+		{"forked", true},
+		{"forked again", true}, // second fork off the same root (recycled fabric)
+		{"forked frame pooling off", false},
 	}
 	for _, v := range variants {
-		if got := runForked(t, v.opts...).Fingerprint(); got != want {
+		if got := runForked(t, v.pooling).Fingerprint(); got != want {
 			t.Errorf("%s: fingerprint diverged from fresh compile\n--- want ---\n%s\n--- got ---\n%s", v.name, want, got)
 		}
 	}

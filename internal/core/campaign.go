@@ -39,7 +39,7 @@ type Campaign struct {
 }
 
 // CampaignVariant is one cell of the sweep matrix: a scenario executed once
-// per (seed, attempt) under a fixed engine and data-plane choice.
+// per (seed, attempt).
 type CampaignVariant struct {
 	Name string
 	// Model overrides the campaign's default model for this variant.
@@ -53,12 +53,6 @@ type CampaignVariant struct {
 	// the variant into a determinism probe: all attempts of a (variant, seed)
 	// pair must produce identical RunReport fingerprints.
 	Repeat int
-	// Sequential drives the runs with the single-threaded reference step
-	// engine (StepAllSequential) instead of the sharded parallel engine.
-	Sequential bool
-	// FramePooling selects the pooled (true) or reference copy-per-publish
-	// (false) data plane; nil keeps the network's default (pooled).
-	FramePooling *bool
 	// MaxSteps caps each run of the variant at this many executed steps
 	// (0 = no budget): a scenario stepping past it aborts with a
 	// deterministic "step budget" error. See WithMaxSteps.
@@ -188,7 +182,7 @@ func (c *Campaign) normalizedVariants() ([]CampaignVariant, error) {
 
 // SpecHash returns the hex SHA-256 content hash of the campaign's normalized
 // declarative spec: every variant's name, model name, seed list, repeat
-// count and engine/data-plane toggles, plus its scenario's attackers and
+// count and step budget, plus its scenario's attackers and
 // typed events in their canonical one-line descriptions. The hash is a pure
 // function of the declaration — independent of the process, pointer
 // identity or run order — so durable stores key their on-disk layout by it
@@ -211,16 +205,11 @@ func (c *Campaign) SpecHash() (string, error) {
 	fmt.Fprintf(h, "campaign %q\n", name)
 	for i := range variants {
 		v := &variants[i]
-		engine := "parallel"
-		if v.Sequential {
-			engine = "sequential"
-		}
-		pooling := "default"
-		if v.FramePooling != nil {
-			pooling = fmt.Sprintf("%t", *v.FramePooling)
-		}
-		fmt.Fprintf(h, "variant %q model=%q seeds=%v repeat=%d engine=%s pooling=%s",
-			v.Name, v.Model.Name, v.Seeds, v.Repeat, engine, pooling)
+		// "engine=parallel pooling=default" is what every variant hashed
+		// before the engine and data-plane toggles were removed; keeping the
+		// literal keeps existing stores' keys, so they still resume.
+		fmt.Fprintf(h, "variant %q model=%q seeds=%v repeat=%d engine=parallel pooling=default",
+			v.Name, v.Model.Name, v.Seeds, v.Repeat)
 		if v.MaxSteps > 0 {
 			// Appended only when set, so pre-existing campaigns keep their
 			// store keys.
@@ -558,12 +547,7 @@ func cancelledRun(spec *campaignRunSpec, cause error) CampaignRun {
 		Variant: v.Name,
 		Seed:    spec.seed,
 		Attempt: spec.attempt,
-		Engine:  "parallel",
 	}
-	if v.Sequential {
-		run.Engine = "sequential"
-	}
-	run.FramePooling = v.FramePooling == nil || *v.FramePooling
 	run.Err = fmt.Sprintf("cancelled before run: %v", cause)
 	run.Failure = FailCancelled
 	run.cancelled = true
@@ -587,12 +571,7 @@ func executeCampaignRun(ctx context.Context, spec campaignRunSpec, cfg *optionSe
 		Variant: v.Name,
 		Seed:    spec.seed,
 		Attempt: spec.attempt,
-		Engine:  "parallel",
 	}
-	if v.Sequential {
-		run.Engine = "sequential"
-	}
-	run.FramePooling = v.FramePooling == nil || *v.FramePooling
 	defer func() {
 		if p := recover(); p != nil {
 			// Identity fields are already set; scrub any partial outcome so
@@ -649,12 +628,6 @@ func executeCampaignRun(ctx context.Context, spec campaignRunSpec, cfg *optionSe
 	}
 
 	opts := []RunOption{WithSeed(spec.seed)}
-	if v.Sequential {
-		opts = append(opts, WithSequential())
-	}
-	if v.FramePooling != nil {
-		opts = append(opts, WithFramePooling(*v.FramePooling))
-	}
 	if v.MaxSteps > 0 {
 		opts = append(opts, WithMaxSteps(v.MaxSteps))
 	}

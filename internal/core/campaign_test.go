@@ -280,7 +280,7 @@ func TestCampaignEventFailurePropagation(t *testing.T) {
 	c := &Campaign{Name: "c", Model: ms, Variants: []CampaignVariant{
 		{Name: "only", Scenario: sc, Seeds: []int64{1}},
 	}}
-	rep, err := RunCampaign(context.Background(), c, WithCampaignWorkers(1))
+	rep, err := RunCampaign(context.Background(), c, WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,9 +17,6 @@ type CampaignRun struct {
 	Variant string `json:"variant"`
 	Seed    int64  `json:"seed"`
 	Attempt int    `json:"attempt"` // 1-based repeat index
-	Engine  string `json:"engine"`  // "parallel" or "sequential"
-
-	FramePooling bool `json:"framePooling"`
 	// Fingerprint is the FNV-64a hash (hex) of the run's full
 	// RunReport.Fingerprint — the compact JSON/display form. Determinism
 	// grouping compares the full fingerprint text, not this hash.

@@ -16,14 +16,13 @@
 // generated grid at compile time, so a broken model fails with ErrModel
 // before anything runs.
 //
-// # Step engines
+// # Step loop
 //
-// CyberRange.StepAll advances one simulation interval with the sharded
-// two-phase engine (sched.go, shard.go): per-substation shards compute
-// concurrently with bus writes buffered into per-IED transactions, then a
-// commit phase applies them in globally sorted IED order. The committed
-// kv-bus/HMI state is byte-identical to CyberRange.StepAllSequential, the
-// retained single-threaded reference path.
+// CyberRange.StepAll advances one simulation interval on the calling
+// goroutine: pre-hook, power solve, every IED in name order writing straight
+// to the kv bus, every PLC in Shards() order (the per-substation partition of
+// shard.go), one HMI poll, post-hook. Both orders are fixed once when the
+// range is instantiated.
 //
 // Real-time mode (Start with realTime true) is paced StepAll: one driver
 // goroutine calls StepAll every Interval() of wall time, with the same clock
@@ -38,13 +37,13 @@
 // trigger + action pairs executed by a deterministic scheduler woven into
 // the step loop as pre/post hooks (SetStepHooks). RunScenario returns the
 // structured RunReport (runreport.go) whose deterministic projection
-// (Fingerprint) is identical across engines, data planes and repeated runs
-// for a fixed (model, scenario, seed).
+// (Fingerprint) is identical across data planes and repeated runs for a
+// fixed (model, scenario, seed).
 //
 // # Campaign engine
 //
 // Campaign (campaign.go) is the population form: a declarative sweep of
-// scenario variants × seed lists × engine/data-plane toggles, executed by
+// scenario variants × seed lists × repeats, executed by
 // RunCampaign on a bounded worker pool with one isolated CyberRange per run
 // and the parsed ModelSet shared read-only. The aggregated CampaignReport
 // (campaignreport.go) carries per-variant distributions (precision/recall,

@@ -9,8 +9,8 @@ import (
 )
 
 // TestCampaignForkDifferential is the differential fingerprint check behind
-// the fork fast path: the same campaign — sweeping both step engines, both
-// data planes, repeats and several seeds — executed once on the default
+// the fork fast path: the same campaign — repeats and several seeds —
+// executed once on the default
 // compile-once-fork-per-run path and once under WithPerRunCompile must
 // produce the identical fingerprint for every (variant, seed, attempt)
 // triple. Any divergence means a fork leaked or dropped state relative to a
@@ -18,11 +18,8 @@ import (
 func TestCampaignForkDifferential(t *testing.T) {
 	ms := epicModelSet(t)
 	sc := redBlueScenario()
-	pooled, unpooled := true, false
 	c := &Campaign{Name: "fork-diff", Model: ms, Variants: []CampaignVariant{
-		{Name: "parallel-pooled", Scenario: sc, Seeds: []int64{7, 11}, Repeat: 2},
-		{Name: "sequential", Scenario: sc, Seeds: []int64{7}, Sequential: true, FramePooling: &pooled},
-		{Name: "parallel-unpooled", Scenario: sc, Seeds: []int64{7}, FramePooling: &unpooled},
+		{Name: "sweep", Scenario: sc, Seeds: []int64{7, 11}, Repeat: 2},
 	}}
 
 	key := func(r *CampaignRun) string {

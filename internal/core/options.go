@@ -14,17 +14,13 @@ import (
 // set: each With* constructor returns a value implementing exactly the
 // interfaces of the calls it is meaningful for, so passing WithSeed to
 // Compile is still a compile-time error while WithWorkers is accepted
-// everywhere. The old names (WithCampaignWorkers) remain as thin deprecated
-// aliases.
+// everywhere.
 
 // optionSet is the merged configuration every option applies into. Each entry
 // point reads only the fields its narrowed interface can set.
 type optionSet struct {
-	workers       int // step-engine pool (Compile/Run) or campaign pool (RunCampaign); 0 = default
+	workers       int // campaign pool (RunCampaign); 0 = GOMAXPROCS
 	seed          int64
-	sequential    bool
-	pooling       bool
-	poolingSet    bool
 	perRunCompile bool
 	sinks         []RunSink   // extra streaming observers (WithRunSink)
 	storeOpen     StoreOpener // deferred store constructor (WithCampaignStore)
@@ -76,21 +72,11 @@ func (workersOption) compileOption()             {}
 func (workersOption) runOption()                 {}
 func (workersOption) campaignOption()            {}
 
-// WithWorkers sets the worker-pool size of the receiving call:
-//
-//   - Compile: the parallel step engine's pool (default runtime.GOMAXPROCS(0);
-//     1 keeps the two-phase engine on a single goroutine).
-//   - RunScenario / Run: overrides the compiled range's step-engine pool for
-//     the run. Worker count never changes committed state or fingerprints.
-//   - RunCampaign: how many runs execute concurrently, each on its own
-//     isolated range (1 executes the sweep sequentially).
+// WithWorkers sizes RunCampaign's pool: how many runs execute concurrently,
+// each on its own isolated range (default runtime.GOMAXPROCS(0); 1 executes
+// the sweep sequentially). Compile and RunScenario accept and ignore it: a
+// range steps on one goroutine.
 func WithWorkers(n int) Option { return workersOption(n) }
-
-// WithCampaignWorkers sets the campaign worker-pool size.
-//
-// Deprecated: WithCampaignWorkers is the pre-unification name; it is exactly
-// WithWorkers restricted to campaigns. Use WithWorkers.
-func WithCampaignWorkers(n int) CampaignOption { return workersOption(n) }
 
 type seedOption int64
 
@@ -100,25 +86,6 @@ func (seedOption) runOption()                 {}
 // WithSeed overrides the scenario's replay seed: every randomised choice of
 // the run derives from it, so a fixed seed replays byte-identically.
 func WithSeed(seed int64) RunOption { return seedOption(seed) }
-
-type sequentialOption struct{}
-
-func (sequentialOption) applyOption(o *optionSet) { o.sequential = true }
-func (sequentialOption) runOption()               {}
-
-// WithSequential drives the run with StepAllSequential (the single-threaded
-// reference engine) instead of the sharded parallel engine. The determinism
-// tests diff reports across the two.
-func WithSequential() RunOption { return sequentialOption{} }
-
-type framePoolingOption bool
-
-func (p framePoolingOption) applyOption(o *optionSet) { o.pooling = bool(p); o.poolingSet = true }
-func (framePoolingOption) runOption()                 {}
-
-// WithFramePooling selects the pooled (true) or reference copy-per-publish
-// (false) data plane for the run; unset leaves the network's default.
-func WithFramePooling(on bool) RunOption { return framePoolingOption(on) }
 
 type perRunCompileOption struct{}
 
@@ -247,13 +214,7 @@ func (maxStepsOption) runOption()                 {}
 // (CampaignVariant.MaxSteps, maxSteps in the XML schema).
 func WithMaxSteps(n int) RunOption { return maxStepsOption(n) }
 
-// applyCompile/applyRun/applyCampaign adapt the narrowed slices to apply.
-func applyCompile(opts []CompileOption, o *optionSet) {
-	for _, opt := range opts {
-		opt.applyOption(o)
-	}
-}
-
+// applyRun/applyCampaign adapt the narrowed slices to apply.
 func applyRun(opts []RunOption, o *optionSet) {
 	for _, opt := range opts {
 		opt.applyOption(o)

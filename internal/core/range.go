@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -43,11 +42,6 @@ type ModelSet struct {
 	PLCs        []PLCSpec
 	// SCADAHost names the node running the HMI (default "SCADA").
 	SCADAHost string
-	// ShardHints optionally overrides the SCL-derived device -> substation
-	// attribution used to partition the range into parallel step shards.
-	// Model generators (e.g. the scale model) populate it; unknown devices
-	// fall back to the merge stage's substation map.
-	ShardHints map[string]string
 }
 
 // CyberRange is a compiled, operational cyber range (Fig 1's architecture):
@@ -66,7 +60,8 @@ type CyberRange struct {
 	artifacts *rangeArtifacts
 	cons      *sclmerge.Consolidated
 	shards    []Shard
-	engine    *stepEngine
+	iedOrder  []*ied.IED // sorted by name: StepAll's IED order
+	plcOrder  []*plc.PLC // in Shards() order: StepAll's PLC scan order
 	interval  time.Duration
 	started   bool
 	stepIndex int
@@ -104,12 +99,10 @@ type rangeArtifacts struct {
 	events   []powersim.Event
 	interval time.Duration
 
-	iedCfgs    []ied.Config // in cons.Doc.IEDs order
-	plcBuilds  []plcBuild
-	scadaImp   *sgmlconf.ScadaImport // nil when the model has no SCADA config
-	scadaHost  string
-	shardHints map[string]string
-	workers    int // compile-time default engine pool size
+	iedCfgs   []ied.Config // in cons.Doc.IEDs order
+	plcBuilds []plcBuild
+	scadaImp  *sgmlconf.ScadaImport // nil when the model has no SCADA config
+	scadaHost string
 
 	// simTmpl is a never-started simulator holding the prewarmed solver
 	// template; each instantiation forks its solver so the first real solve
@@ -134,15 +127,14 @@ type plcBuild struct {
 // Nothing is started; call Start (real-time) or StepAll (deterministic).
 // The expensive derivation work (merge, model generation, config validation,
 // solver warm-up) is kept on the range as shared immutable artifacts, so
-// Fork can clone the range for another run without repeating it.
+// Fork can clone the range for another run without repeating it. No option
+// currently changes what Compile builds; WithWorkers is accepted and ignored.
 func Compile(ms *ModelSet, opts ...CompileOption) (*CyberRange, error) {
-	var co optionSet
-	applyCompile(opts, &co)
-	a, built, err := buildArtifacts(ms, co.workers)
+	a, built, err := buildArtifacts(ms)
 	if err != nil {
 		return nil, err
 	}
-	return a.instantiate(built, a.workers)
+	return a.instantiate(built)
 }
 
 // Fork clones a compiled, not-yet-started range into a fully isolated
@@ -164,7 +156,7 @@ func (r *CyberRange) Fork() (*CyberRange, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.artifacts.instantiate(built, r.engine.workers)
+	return r.artifacts.instantiate(built)
 }
 
 // releaseFabric hands the range's idle fabric inboxes to the artifacts'
@@ -183,10 +175,7 @@ func (r *CyberRange) releaseFabric() {
 // one-time generation of the root fabric, and precomputes every immutable
 // input of range assembly: validated power events, per-IED and per-PLC
 // configurations, the parsed SCADA import and the prewarmed solver template.
-func buildArtifacts(ms *ModelSet, workers int) (*rangeArtifacts, *BuiltNetwork, error) {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+func buildArtifacts(ms *ModelSet) (*rangeArtifacts, *BuiltNetwork, error) {
 	if ms.Name == "" {
 		ms.Name = "sgml-range"
 	}
@@ -215,13 +204,11 @@ func buildArtifacts(ms *ModelSet, workers int) (*rangeArtifacts, *BuiltNetwork, 
 	}
 
 	a := &rangeArtifacts{
-		name:       ms.Name,
-		cons:       cons,
-		grid:       grid,
-		shardHints: ms.ShardHints,
-		workers:    workers,
-		busTmpl:    kvbus.New(),
-		recycler:   netem.NewInboxRecycler(),
+		name:     ms.Name,
+		cons:     cons,
+		grid:     grid,
+		busTmpl:  kvbus.New(),
+		recycler: netem.NewInboxRecycler(),
 	}
 	a.interval = 100 * time.Millisecond
 	if ms.PowerConfig != nil {
@@ -381,7 +368,7 @@ func buildArtifacts(ms *ModelSet, workers int) (*rangeArtifacts, *BuiltNetwork, 
 // instantiate assembles a runnable range on a freshly generated fabric: the
 // single shared code path of Compile (first instantiation) and Fork (every
 // later one).
-func (a *rangeArtifacts) instantiate(built *BuiltNetwork, workers int) (*CyberRange, error) {
+func (a *rangeArtifacts) instantiate(built *BuiltNetwork) (*CyberRange, error) {
 	// Stage 4: coupling cache + simulator with scenario events. The solver
 	// fork shares the template's read-only topology artifacts.
 	bus := a.busTmpl.Fork()
@@ -442,13 +429,22 @@ func (a *rangeArtifacts) instantiate(built *BuiltNetwork, workers int) (*CyberRa
 		r.HMI = hmi
 	}
 
-	// Stage 8: step scheduler — partition devices along the substation
-	// hierarchy and build the bounded-pool two-phase engine.
-	if workers < 1 {
-		workers = 1
+	// Stage 8: step order — IEDs by name, PLCs by substation then name, fixed
+	// once here so StepAll neither sorts nor allocates.
+	names := make([]string, 0, len(r.IEDs))
+	for name := range r.IEDs {
+		names = append(names, name)
 	}
-	r.shards = partitionShards(a.cons.SubstationOf, a.shardHints, r.IEDs, r.PLCs)
-	r.engine = newStepEngine(r.shards, workers, r.IEDs, r.PLCs, bus)
+	sort.Strings(names)
+	for _, name := range names {
+		r.iedOrder = append(r.iedOrder, r.IEDs[name])
+	}
+	r.shards = partitionShards(a.cons.SubstationOf, r.IEDs, r.PLCs)
+	for _, s := range r.shards {
+		for _, name := range s.PLCs {
+			r.plcOrder = append(r.plcOrder, r.PLCs[name])
+		}
+	}
 	return r, nil
 }
 
@@ -611,10 +607,11 @@ func (r *CyberRange) plcBindingsOf(name string) map[string]bool {
 	return out
 }
 
-// StepAll advances the whole range one simulation interval, deterministically:
-// physical solve, then the sharded two-phase device pass (parallel IED
-// compute with buffered bus writes, ordered commit, PLC scans), one HMI poll.
-// The committed state is byte-identical to StepAllSequential.
+// StepAll advances the whole range one simulation interval, deterministically
+// and on the calling goroutine: the pre hook, the physical solve, every IED in
+// name order with immediate bus writes, every PLC in Shards() order, one HMI
+// poll, then the post hook. Every PLC is scanned before the first scan error
+// is returned, so one failing scan never skips the rest.
 func (r *CyberRange) StepAll(now time.Time) error {
 	step := r.stepIndex
 	if r.preStep != nil {
@@ -625,49 +622,13 @@ func (r *CyberRange) StepAll(now time.Time) error {
 	if _, err := r.Sim.Step(); err != nil {
 		return err
 	}
-	if err := r.engine.step(now); err != nil {
-		return err
-	}
-	if r.HMI != nil {
-		r.HMI.PollOnce()
-	}
-	r.stepIndex++
-	if r.postStep != nil {
-		return r.postStep(step, now)
-	}
-	return nil
-}
-
-// StepAllSequential is the single-threaded reference engine: every IED in
-// sorted order with immediate bus writes, then every PLC in shard/name
-// order — the exact order the parallel engine commits in. Like the parallel
-// path, it scans every PLC before reporting the first error, so a failing
-// scan never forks the two engines' state. The determinism test and the
-// parallel-engine ablation bench diff StepAll against it.
-func (r *CyberRange) StepAllSequential(now time.Time) error {
-	step := r.stepIndex
-	if r.preStep != nil {
-		if err := r.preStep(step, now); err != nil {
-			return err
-		}
-	}
-	if _, err := r.Sim.Step(); err != nil {
-		return err
-	}
-	names := make([]string, 0, len(r.IEDs))
-	for n := range r.IEDs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		r.IEDs[n].Step(now)
+	for _, dev := range r.iedOrder {
+		dev.Step(now)
 	}
 	var firstErr error
-	for _, s := range r.shards {
-		for _, n := range s.PLCs {
-			if err := r.PLCs[n].Scan(now); err != nil && firstErr == nil {
-				firstErr = err
-			}
+	for _, p := range r.plcOrder {
+		if err := p.Scan(now); err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 	if firstErr != nil {
@@ -711,14 +672,20 @@ func (r *CyberRange) GooseSubscriberDrops() map[string]uint64 {
 	return out
 }
 
+// StepHook observes (and may act on) the range's step loop. step is the
+// zero-based index of the step about to run (pre hook) or just completed
+// (post hook); now is the step's virtual timestamp. Returning an error aborts
+// the step. The deterministic scenario scheduler is implemented as a pair of
+// these hooks; they run strictly between device passes, on StepAll's
+// goroutine.
+type StepHook func(step int, now time.Time) error
+
 // SetStepHooks installs the scenario scheduler's pre/post hooks into the
 // step loop (nil clears). The pre hook runs before the physical solve of the
 // step — a scenario action applied there is visible to that step's power
 // flow — and the post hook runs after the HMI poll, once the step's device
-// state is committed; both run under BOTH engines (StepAll and
-// StepAllSequential), which is what lets a scenario replay identically across
-// them. Hooks are part of the single-threaded step loop: they must not be
-// installed concurrently with stepping.
+// state is committed. Hooks are part of the single-threaded step loop: they
+// must not be installed concurrently with stepping.
 func (r *CyberRange) SetStepHooks(pre, post StepHook) {
 	r.preStep, r.postStep = pre, post
 }
@@ -727,11 +694,9 @@ func (r *CyberRange) SetStepHooks(pre, post StepHook) {
 // to the step hooks for the upcoming step.
 func (r *CyberRange) StepIndex() int { return r.stepIndex }
 
-// Shards exposes the step engine's device partition (diagnostics, tests).
+// Shards exposes the range's per-substation device partition, which fixes
+// the order StepAll scans PLCs in (diagnostics, tests).
 func (r *CyberRange) Shards() []Shard { return r.shards }
-
-// Workers reports the step engine's worker-pool size.
-func (r *CyberRange) Workers() int { return r.engine.workers }
 
 // Stop tears the range down in reverse dependency order, after the real-time
 // driver (if any) has finished its step in flight.

@@ -215,7 +215,7 @@ func TestEPICRealTimeMode(t *testing.T) {
 	}
 
 	// The batch run also gives a leaked driver time to step again.
-	batch := runSteps(t, epicModelSet(t), k, (*CyberRange).StepAll)
+	batch := runSteps(t, epicModelSet(t), k)
 	if got := r.RealTimeStats().Steps; got != k || r.StepIndex() != k {
 		t.Errorf("steps after Stop: stats %d, step index %d, want %d", got, r.StepIndex(), k)
 	}

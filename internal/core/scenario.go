@@ -78,7 +78,7 @@ const (
 // boundary against committed state, and fire at the next boundary after the
 // condition first holds (plus any Plus delay). Both paths are evaluated in
 // the step loop's hooks, never concurrently with a step, so triggering is
-// deterministic under either engine.
+// deterministic.
 type Trigger struct {
 	kind    triggerKind
 	step    int
@@ -500,7 +500,7 @@ func (a StopMITM) apply(rt *scenarioRun, _ *eventState) (string, error) {
 // != 0 asserts the coil) or "holding" (Value is the register word).
 //
 // The write is issued synchronously inside the firing step's pre-hook, so its
-// effect lands at a deterministic scan boundary under either engine.
+// effect lands at a deterministic scan boundary.
 type ModbusTamper struct {
 	Attacker string
 	PLC      string // target PLC by its config name (e.g. "CPLC")
@@ -829,9 +829,9 @@ type scenarioRun struct {
 
 // RunScenario executes a scenario against a compiled (not yet started) range
 // and returns the structured report. The scheduler is woven into the range's
-// step loop via the pre/post step hooks, so events trigger at identical
-// points under the parallel and sequential engines; the seeded RNG makes
-// every randomised choice replayable. The range is left started (callers
+// step loop via the pre/post step hooks, so events trigger at fixed points
+// of the step order; the seeded RNG makes every randomised choice
+// replayable. The range is left started (callers
 // still own Stop); scenario-started MITMs are withdrawn before returning.
 func RunScenario(ctx context.Context, r *CyberRange, sc *Scenario, opts ...RunOption) (*RunReport, error) {
 	cfg := optionSet{seed: sc.Seed}
@@ -842,12 +842,6 @@ func RunScenario(ctx context.Context, r *CyberRange, sc *Scenario, opts ...RunOp
 	if r.started {
 		return nil, fmt.Errorf("%w: range already started", ErrScenario)
 	}
-	if cfg.workers > 0 {
-		// Per-run override of the compiled pool size. Worker count never
-		// changes committed state or fingerprints (pinned by the determinism
-		// tests), so this is a pure throughput knob.
-		r.engine.workers = cfg.workers
-	}
 	norm, err := sc.normalized(r.interval)
 	if err != nil {
 		return nil, err
@@ -856,10 +850,6 @@ func RunScenario(ctx context.Context, r *CyberRange, sc *Scenario, opts ...RunOp
 		return nil, err
 	}
 
-	engine := "parallel"
-	if cfg.sequential {
-		engine = "sequential"
-	}
 	rt := &scenarioRun{
 		r: r, sc: norm, cfg: cfg, ctx: ctx,
 		rng:       rand.New(rand.NewSource(cfg.seed)),
@@ -868,14 +858,10 @@ func RunScenario(ctx context.Context, r *CyberRange, sc *Scenario, opts ...RunOp
 		mitms:     make(map[string]*attack.MITM),
 		report: &RunReport{
 			Scenario: norm.Name, Seed: cfg.seed, Steps: norm.Steps,
-			Interval: r.interval, Engine: engine,
+			Interval: r.interval,
 		},
 	}
-	rt.report.FramePooling = !cfg.poolingSet || cfg.pooling
 	r.Net.SeedRand(uint64(cfg.seed))
-	if cfg.poolingSet {
-		r.Net.SetFramePooling(cfg.pooling)
-	}
 
 	for i := range norm.Attackers {
 		a := &norm.Attackers[i]
@@ -912,10 +898,6 @@ func RunScenario(ctx context.Context, r *CyberRange, sc *Scenario, opts ...RunOp
 		return nil, err
 	}
 
-	stepFn := r.StepAll
-	if cfg.sequential {
-		stepFn = r.StepAllSequential
-	}
 	now := time.Now()
 	for i := 0; i < norm.Steps; i++ {
 		if err := ctx.Err(); err != nil {
@@ -938,7 +920,7 @@ func RunScenario(ctx context.Context, r *CyberRange, sc *Scenario, opts ...RunOp
 			}
 		}
 		now = now.Add(r.interval)
-		if err := stepFn(now); err != nil {
+		if err := r.StepAll(now); err != nil {
 			rt.report.Err = fmt.Sprintf("step %d: %v", i, err)
 			break
 		}

@@ -52,8 +52,8 @@ func TestRunScenarioRedBlue(t *testing.T) {
 	if rep.Err != "" {
 		t.Fatalf("run aborted: %s", rep.Err)
 	}
-	if rep.Steps != 14 || rep.Seed != 7 || rep.Engine != "parallel" {
-		t.Errorf("header = %d steps seed %d engine %s", rep.Steps, rep.Seed, rep.Engine)
+	if rep.Steps != 14 || rep.Seed != 7 {
+		t.Errorf("header = %d steps seed %d", rep.Steps, rep.Seed)
 	}
 	outcomes := map[string]EventOutcome{}
 	for _, e := range rep.Events {

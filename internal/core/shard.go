@@ -7,18 +7,13 @@ import (
 	"repro/internal/plc"
 )
 
-// Shard is one unit of sequential work in the parallel step engine: the
-// devices of a single substation, stepped in sorted name order. Shards are
-// mutually independent within a step — IEDs exchange state with the power
-// simulation only through the kv bus (sim-written keys are read-only during
-// the device phase, IED-written command keys are buffered until the commit
-// phase), so any shard interleaving yields the same committed state.
+// Shard is the devices of a single substation. The shard list fixes the
+// order StepAll scans PLCs in: shard by shard, sorted by name within each.
 type Shard struct {
 	// Name is the substation the shard covers (or "range" for devices with
 	// no substation attribution).
 	Name string
-	// IEDs are the shard's virtual IEDs, sorted — the order the sequential
-	// engine would step them in relative to each other.
+	// IEDs are the shard's virtual IEDs, sorted.
 	IEDs []string
 	// PLCs are the shard's PLC runtimes, sorted.
 	PLCs []string
@@ -28,15 +23,11 @@ type Shard struct {
 const defaultShard = "range"
 
 // partitionShards groups compiled devices into per-substation shards.
-// subOf is the SCL-derived IED -> substation map from the merge stage;
-// hints (from ModelSet.ShardHints, e.g. the scale model generator) override
-// it per device. The result is sorted by shard name, and devices within a
-// shard are sorted, so the partition is deterministic for a given model.
-func partitionShards(subOf, hints map[string]string, ieds map[string]*ied.IED, plcs map[string]*plc.PLC) []Shard {
+// subOf is the SCL-derived IED -> substation map from the merge stage. The
+// result is sorted by shard name, and devices within a shard are sorted, so
+// the partition is deterministic for a given model.
+func partitionShards(subOf map[string]string, ieds map[string]*ied.IED, plcs map[string]*plc.PLC) []Shard {
 	keyOf := func(name string) string {
-		if s, ok := hints[name]; ok && s != "" {
-			return s
-		}
 		if s, ok := subOf[name]; ok && s != "" {
 			return s
 		}

@@ -18,9 +18,6 @@ type ScaleModel struct {
 	PowerConfig *sgmlconf.PowerConfig
 	Substations []string
 	TotalIEDs   int
-	// ShardHints maps every generated IED to its substation — the natural
-	// partition the parallel step engine shards the range along.
-	ShardHints map[string]string
 }
 
 // NewScaleModel builds nSubs substations, each with feeders feeder bays (one
@@ -35,7 +32,6 @@ func NewScaleModel(nSubs, feeders int) (*ScaleModel, error) {
 		SED:         &scl.SED{Header: scl.Header{ID: "scale-sed"}, WAN: scl.WANConfig{LatencyMS: 2}},
 		IEDConfigs:  &sgmlconf.IEDConfig{},
 		PowerConfig: &sgmlconf.PowerConfig{BaseMVA: 100, IntervalMS: 100},
-		ShardHints:  make(map[string]string, nSubs*(feeders+1)),
 	}
 	for s := 1; s <= nSubs; s++ {
 		sub := fmt.Sprintf("S%d", s)
@@ -43,10 +39,6 @@ func NewScaleModel(nSubs, feeders int) (*ScaleModel, error) {
 		doc := buildScaleSub(sub, s, feeders, s == 1)
 		out.SCDs[sub] = doc
 		out.TotalIEDs += feeders + 1
-		out.ShardHints[sub+"_GW"] = sub
-		for f := 1; f <= feeders; f++ {
-			out.ShardHints[fmt.Sprintf("%s_IED%d", sub, f)] = sub
-		}
 
 		// Element parameters + IED entries.
 		if s == 1 {

@@ -314,19 +314,10 @@ func (d *IED) operateBreaker(breaker string, closeIt bool) error {
 }
 
 // Step performs one acquisition + protection pass at the given instant,
-// writing actuation commands directly to the bus.
-func (d *IED) Step(now time.Time) { d.StepTx(now, d.bus) }
-
-// StepTx is Step with the bus writes routed through w. The parallel step
-// engine passes a kvbus.Tx so trip commands from concurrently-stepped IEDs
-// can be committed in a deterministic order afterwards. Bus reads and MMS
-// model updates are confined to this IED and need no deferral; GOOSE/R-SV
-// publications are emitted immediately, but peers consume them through
-// asynchronous per-device delivery whose arrival timing is scheduler- and
-// wall-clock-dependent under sequential stepping too, so deferring them
-// would buy no additional determinism. Two IEDs may be stepped
-// concurrently; a single IED must not.
-func (d *IED) StepTx(now time.Time, w kvbus.Writer) {
+// writing actuation commands directly to the bus. GOOSE/R-SV publications
+// are emitted immediately; peers consume them through asynchronous
+// per-device delivery. A single IED must not be stepped concurrently.
+func (d *IED) Step(now time.Time) {
 	d.mu.Lock()
 	d.steps++
 	d.mu.Unlock()
@@ -334,7 +325,7 @@ func (d *IED) StepTx(now time.Time, w kvbus.Writer) {
 	d.drainSubscriptions(now)
 	vm, ika := d.refreshMeasurements()
 	d.refreshBreakerStatus()
-	d.evaluateProtection(now, vm, ika, w)
+	d.evaluateProtection(now, vm, ika)
 	if d.rpub != nil {
 		d.rpub.PublishNow()
 	}
@@ -434,7 +425,7 @@ func (d *IED) lastStatusOf(cb string) bool {
 
 // evaluateProtection applies the Table II functions with their IED Config
 // XML thresholds and time delays.
-func (d *IED) evaluateProtection(now time.Time, vmPU, iKA float64, w kvbus.Writer) {
+func (d *IED) evaluateProtection(now time.Time, vmPU, iKA float64) {
 	p := d.cfg.Entry
 	if p == nil {
 		return
@@ -445,7 +436,7 @@ func (d *IED) evaluateProtection(now time.Time, vmPU, iKA float64, w kvbus.Write
 		if c.Line != "" {
 			i = d.bus.GetFloat(kvbus.LineCurrentKey(d.cfg.Substation, c.Line), iKA)
 		}
-		d.applyFunction(now, w, "PTOC", &d.ptoc, i > c.ThresholdKA,
+		d.applyFunction(now, "PTOC", &d.ptoc, i > c.ThresholdKA,
 			time.Duration(c.DelayMS)*time.Millisecond,
 			fmt.Sprintf("current %.3f kA > %.3f kA", i, c.ThresholdKA))
 	}
@@ -455,7 +446,7 @@ func (d *IED) evaluateProtection(now time.Time, vmPU, iKA float64, w kvbus.Write
 		if c.Bus != "" {
 			v = d.bus.GetFloat(kvbus.BusVoltageKey(d.cfg.Substation, c.Bus), vmPU)
 		}
-		d.applyFunction(now, w, "PTOV", &d.ptov, v > c.ThresholdPU,
+		d.applyFunction(now, "PTOV", &d.ptov, v > c.ThresholdPU,
 			time.Duration(c.DelayMS)*time.Millisecond,
 			fmt.Sprintf("voltage %.4f pu > %.4f pu", v, c.ThresholdPU))
 	}
@@ -467,7 +458,7 @@ func (d *IED) evaluateProtection(now time.Time, vmPU, iKA float64, w kvbus.Write
 		}
 		// A de-energised bus (≈0 pu) is not an under-voltage condition —
 		// the breaker is already open; re-tripping would mask restoration.
-		d.applyFunction(now, w, "PTUV", &d.ptuv, v > 0.05 && v < c.ThresholdPU,
+		d.applyFunction(now, "PTUV", &d.ptuv, v > 0.05 && v < c.ThresholdPU,
 			time.Duration(c.DelayMS)*time.Millisecond,
 			fmt.Sprintf("voltage %.4f pu < %.4f pu", v, c.ThresholdPU))
 	}
@@ -482,7 +473,7 @@ func (d *IED) evaluateProtection(now time.Time, vmPU, iKA float64, w kvbus.Write
 		if diff < 0 {
 			diff = -diff
 		}
-		d.applyFunction(now, w, "PDIF", &d.pdif, fresh && diff > c.ThresholdKA,
+		d.applyFunction(now, "PDIF", &d.pdif, fresh && diff > c.ThresholdKA,
 			time.Duration(c.DelayMS)*time.Millisecond,
 			fmt.Sprintf("differential %.3f kA > %.3f kA (local %.3f, remote %.3f)", diff, c.ThresholdKA, local, remote))
 	}
@@ -490,7 +481,7 @@ func (d *IED) evaluateProtection(now time.Time, vmPU, iKA float64, w kvbus.Write
 
 // applyFunction implements the pickup/delay/trip state machine shared by all
 // threshold protections.
-func (d *IED) applyFunction(now time.Time, w kvbus.Writer, fn string, ps *protState, violated bool, delay time.Duration, detail string) {
+func (d *IED) applyFunction(now time.Time, fn string, ps *protState, violated bool, delay time.Duration, detail string) {
 	d.mu.Lock()
 	if !violated {
 		ps.armed = false
@@ -511,16 +502,16 @@ func (d *IED) applyFunction(now time.Time, w kvbus.Writer, fn string, ps *protSt
 	}
 	d.mu.Unlock()
 	if shouldTrip {
-		d.trip(w, fn, detail)
+		d.trip(fn, detail)
 	}
 }
 
 // trip opens every controlled breaker, raises the protection status and
 // publishes a GOOSE trip event.
-func (d *IED) trip(w kvbus.Writer, fn, detail string) {
+func (d *IED) trip(fn, detail string) {
 	d.srv.Update(RefProtTrip(fn), mms.NewBool(true))
 	for _, cb := range d.breakers {
-		w.SetBool(kvbus.BreakerCmdKey(d.cfg.Substation, cb), false)
+		d.bus.SetBool(kvbus.BreakerCmdKey(d.cfg.Substation, cb), false)
 	}
 	d.logEvent(EventTrip, fn, detail)
 	d.srv.Report(RefProtTrip(fn), mms.NewBool(true))

@@ -77,22 +77,6 @@ func New() *Bus {
 	}
 }
 
-// Writer is the write half of the bus. It is implemented by *Bus (immediate
-// writes) and by *Tx (buffered writes applied later in a deterministic order).
-// Device step code writes through a Writer so the parallel step engine can
-// defer side effects to its ordered commit phase.
-type Writer interface {
-	Set(key, raw string)
-	SetFloat(key string, f float64)
-	SetBool(key string, v bool)
-	SetInt(key string, v int64)
-}
-
-var (
-	_ Writer = (*Bus)(nil)
-	_ Writer = (*Tx)(nil)
-)
-
 // Set writes key = raw, bumping the key version and notifying watchers.
 func (b *Bus) Set(key, raw string) {
 	b.mu.Lock()
@@ -113,28 +97,20 @@ func (b *Bus) Set(key, raw string) {
 	}
 }
 
-// The canonical raw encodings shared by every Writer implementation. Byte
-// identity between direct and Tx-buffered writes (the determinism guarantee
-// of the parallel step engine) depends on there being exactly one encoder.
-func encodeFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
-
-func encodeBool(v bool) string {
-	if v {
-		return "1"
-	}
-	return "0"
-}
-
-func encodeInt(v int64) string { return strconv.FormatInt(v, 10) }
-
 // SetFloat writes a float measurement with full precision.
-func (b *Bus) SetFloat(key string, f float64) { b.Set(key, encodeFloat(f)) }
+func (b *Bus) SetFloat(key string, f float64) { b.Set(key, strconv.FormatFloat(f, 'g', -1, 64)) }
 
 // SetBool writes a boolean as "1"/"0".
-func (b *Bus) SetBool(key string, v bool) { b.Set(key, encodeBool(v)) }
+func (b *Bus) SetBool(key string, v bool) {
+	raw := "0"
+	if v {
+		raw = "1"
+	}
+	b.Set(key, raw)
+}
 
 // SetInt writes an integer.
-func (b *Bus) SetInt(key string, v int64) { b.Set(key, encodeInt(v)) }
+func (b *Bus) SetInt(key string, v int64) { b.Set(key, strconv.FormatInt(v, 10)) }
 
 // Get reads a key. ok is false when the key has never been written.
 func (b *Bus) Get(key string) (Value, bool) {
@@ -220,46 +196,6 @@ func (b *Bus) Watch(key string) (<-chan Update, func()) {
 		b.mu.Unlock()
 	}
 	return ch, cancel
-}
-
-// Tx is a write buffer: Set* calls are recorded in order instead of applied.
-// Commit replays them against a Bus with normal versioning and watcher
-// notification. A Tx is not safe for concurrent use; the step engine gives
-// each IED its own. The zero value is ready to use.
-type Tx struct {
-	ops []txOp
-}
-
-type txOp struct {
-	key, raw string
-}
-
-// Set records a raw write.
-func (t *Tx) Set(key, raw string) { t.ops = append(t.ops, txOp{key: key, raw: raw}) }
-
-// SetFloat records a float write with the same encoding as Bus.SetFloat.
-func (t *Tx) SetFloat(key string, f float64) { t.Set(key, encodeFloat(f)) }
-
-// SetBool records a boolean write as "1"/"0".
-func (t *Tx) SetBool(key string, v bool) { t.Set(key, encodeBool(v)) }
-
-// SetInt records an integer write.
-func (t *Tx) SetInt(key string, v int64) { t.Set(key, encodeInt(v)) }
-
-// Len reports the number of buffered writes.
-func (t *Tx) Len() int { return len(t.ops) }
-
-// Reset drops buffered writes, keeping capacity for reuse across steps.
-func (t *Tx) Reset() { t.ops = t.ops[:0] }
-
-// Commit applies the buffered writes to b in recorded order and resets the
-// buffer. Versions, counters and watcher delivery behave exactly as if the
-// writes had been issued directly.
-func (t *Tx) Commit(b *Bus) {
-	for _, op := range t.ops {
-		b.Set(op.key, op.raw)
-	}
-	t.Reset()
 }
 
 // Stats reports cumulative read/write counters (used by the benches to show

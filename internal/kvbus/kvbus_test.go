@@ -261,90 +261,3 @@ func ExampleBus() {
 	fmt.Println(b.GetFloat(BusVoltageKey("epic", "MainBus"), 0))
 	// Output: 1.02
 }
-
-func TestTxBuffersUntilCommit(t *testing.T) {
-	b := New()
-	var tx Tx
-	tx.SetFloat("f", 1.25)
-	tx.SetBool("on", true)
-	tx.SetBool("off", false)
-	tx.SetInt("n", 42)
-	tx.Set("raw", "x")
-	if _, ok := b.Get("f"); ok {
-		t.Fatal("buffered write reached the bus before Commit")
-	}
-	if tx.Len() != 5 {
-		t.Fatalf("Len = %d, want 5", tx.Len())
-	}
-	tx.Commit(b)
-	if tx.Len() != 0 {
-		t.Errorf("Len after Commit = %d, want 0", tx.Len())
-	}
-	if got := b.GetFloat("f", 0); got != 1.25 {
-		t.Errorf("f = %v", got)
-	}
-	if !b.GetBool("on", false) || b.GetBool("off", true) {
-		t.Error("bool writes lost")
-	}
-	if v, _ := b.Get("n"); v.Raw != "42" {
-		t.Errorf("n = %q", v.Raw)
-	}
-	if v, _ := b.Get("raw"); v.Raw != "x" {
-		t.Errorf("raw = %q", v.Raw)
-	}
-}
-
-func TestTxCommitMatchesDirectWrites(t *testing.T) {
-	// A committed Tx must be indistinguishable from the same writes issued
-	// directly: same raw values, same per-key versions, same watcher stream.
-	direct := New()
-	direct.SetFloat("a", 1)
-	direct.SetFloat("a", 2)
-	direct.SetBool("b", true)
-
-	buffered := New()
-	ch, cancel := buffered.Watch("")
-	defer cancel()
-	var tx Tx
-	tx.SetFloat("a", 1)
-	tx.SetFloat("a", 2)
-	tx.SetBool("b", true)
-	tx.Commit(buffered)
-
-	ds, bs := direct.Snapshot(), buffered.Snapshot()
-	if len(ds) != len(bs) {
-		t.Fatalf("snapshots differ: %v vs %v", ds, bs)
-	}
-	for k, v := range ds {
-		if bs[k] != v {
-			t.Errorf("key %q: direct %q, buffered %q", k, v, bs[k])
-		}
-	}
-	dv, _ := direct.Get("a")
-	bv, _ := buffered.Get("a")
-	if dv.Version != bv.Version {
-		t.Errorf("version of a: direct %d, buffered %d", dv.Version, bv.Version)
-	}
-	var got []string
-	for i := 0; i < 3; i++ {
-		u := <-ch
-		got = append(got, u.Key+"="+u.Value.Raw)
-	}
-	want := []string{"a=1", "a=2", "b=1"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("watch[%d] = %q, want %q", i, got[i], want[i])
-		}
-	}
-}
-
-func TestTxReset(t *testing.T) {
-	b := New()
-	var tx Tx
-	tx.Set("k", "v")
-	tx.Reset()
-	tx.Commit(b)
-	if b.Len() != 0 {
-		t.Errorf("reset Tx committed %d keys", b.Len())
-	}
-}

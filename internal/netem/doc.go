@@ -18,10 +18,10 @@
 //
 // # Frame pooling (the zero-allocation data plane)
 //
-// With pooling on (the default; Network.SetFramePooling toggles the legacy
-// copy-per-publish reference path), frame payloads are recycled through a
-// per-network sync.Pool and the warm publish→switch→deliver path allocates
-// nothing. That makes buffer ownership part of the API contract — the full
+// Frame payloads are recycled through a per-network sync.Pool and the warm
+// publish→switch→deliver path allocates nothing. Network.SetFramePooling(false)
+// selects the legacy copy-per-publish path instead; it is the reference the
+// data-plane differential tests compare against, not a user setting. That makes buffer ownership part of the API contract — the full
 // rules live on PayloadBuf, in short:
 //
 //   - senders marshal into Host.AllocPayload buffers and transfer ownership

@@ -239,10 +239,9 @@ func (n *Network) UseInboxRecycler(rc *InboxRecycler) error {
 // SetFramePooling toggles the pooled (zero-allocation) frame payload path.
 // It is on by default; disabling it restores the reference copy-per-publish
 // semantics — Host.AllocPayload returns fresh heap buffers and frames are
-// never released to a pool — mirroring the StepAllSequential / dense-solver
-// precedent of keeping the legacy path selectable. Delivered bytes, capture
-// output and IDS verdicts are identical on both paths (see the differential
-// tests in netem and ids).
+// never released to a pool. The switch exists for the differential tests,
+// which pin delivered bytes, capture output, IDS verdicts and scenario
+// fingerprints identical on both paths.
 func (n *Network) SetFramePooling(on bool) { n.poolingOff.Store(!on) }
 
 // Stats returns the fabric's data-plane counters.

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -67,15 +68,11 @@ type Options struct {
 	// Budget is the number of candidate evaluations (default DefaultBudget).
 	// Minimization runs are not counted against it.
 	Budget int
-	// Workers bounds concurrent candidate evaluations (default GOMAXPROCS via
-	// the batch size). Worker count never changes the finds.
+	// Workers bounds concurrent candidate evaluations (default
+	// runtime.GOMAXPROCS(0)). Worker count never changes the finds.
 	Workers int
 	// MaxSteps caps each candidate run (default DefaultMaxSteps).
 	MaxSteps int
-	// Sequential evaluates candidates under the single-threaded reference
-	// step engine instead of the sharded parallel engine. Either engine
-	// yields the same finds and fingerprints.
-	Sequential bool
 	// Oracles are the interestingness predicates (default DefaultOracles).
 	Oracles []Oracle
 }
@@ -139,7 +136,7 @@ func Run(ctx context.Context, root *core.CyberRange, seed *sgmlconf.ScenarioConf
 		opts.MaxSteps = DefaultMaxSteps
 	}
 	if opts.Workers <= 0 {
-		opts.Workers = 4
+		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 	if len(opts.Oracles) == 0 {
 		opts.Oracles = DefaultOracles()
@@ -281,11 +278,7 @@ func (s *searcher) evalOne(ctx context.Context, cfg *sgmlconf.ScenarioConfig) ev
 		return evalResult{err: err}
 	}
 	defer fork.Stop()
-	opts := []core.RunOption{core.WithMaxSteps(s.opts.MaxSteps)}
-	if s.opts.Sequential {
-		opts = append(opts, core.WithSequential())
-	}
-	rep, err := core.RunScenario(ctx, fork, sc, opts...)
+	rep, err := core.RunScenario(ctx, fork, sc, core.WithMaxSteps(s.opts.MaxSteps))
 	if err != nil {
 		return evalResult{err: err}
 	}

@@ -14,14 +14,14 @@ import (
 // The fifth supplementary schema: a declarative sweep over scenario runs, in
 // the same flat attribute style as the other SG-ML config files. Each
 // <Variant> references a Scenario XML file (path relative to the campaign
-// file) and sweeps it over a seed list under a fixed engine/data-plane
-// choice; an optional model attribute points a variant at a different SG-ML
-// model directory than the campaign default.
+// file) and sweeps it over a seed list; an optional model attribute points a
+// variant at a different SG-ML model directory than the campaign default.
+// Attributes the schema does not define — among them the retired sequential
+// and framePooling toggles — are ignored.
 //
 //	<Campaign name="seedsweep" workers="4">
-//	  <Variant name="baseline"   scenario="drill.scenario.xml" seeds="1-20"/>
-//	  <Variant name="reference"  scenario="drill.scenario.xml" seeds="1-5"
-//	           repeat="2" sequential="true" framePooling="off"/>
+//	  <Variant name="sweep"  scenario="drill.scenario.xml" seeds="1-20"/>
+//	  <Variant name="repeat" scenario="drill.scenario.xml" seeds="1-5" repeat="2"/>
 //	</Campaign>
 
 // CampaignConfig is the root of a Campaign XML file.
@@ -33,8 +33,8 @@ type CampaignConfig struct {
 	Variants []CampaignVariantConfig `xml:"Variant"`
 }
 
-// CampaignVariantConfig is one sweep cell: scenario file, seed list and the
-// engine/data-plane toggles to run it under.
+// CampaignVariantConfig is one sweep cell: scenario file, seed list, repeat
+// count and step budget.
 type CampaignVariantConfig struct {
 	Name string `xml:"name,attr"`
 	// Scenario is the Scenario XML file, relative to the campaign file.
@@ -49,10 +49,7 @@ type CampaignVariantConfig struct {
 	// two XML shapes.
 	Seeds *string `xml:"seeds,attr"`
 	// Repeat runs each seed this many times (>= 2 probes determinism).
-	Repeat     int  `xml:"repeat,attr"`
-	Sequential bool `xml:"sequential,attr"`
-	// FramePooling is "on"/"off" ("" keeps the range default, pooled).
-	FramePooling string `xml:"framePooling,attr"`
+	Repeat int `xml:"repeat,attr"`
 	// MaxSteps caps each run of this variant to the first N scenario steps
 	// (0 = the scenario's full horizon). A run that exhausts the budget is
 	// aborted deterministically and recorded as a scenario failure — a cheap
@@ -114,25 +111,9 @@ func (v *CampaignVariantConfig) SeedList() ([]int64, error) {
 	return out, nil
 }
 
-// FramePoolingChoice resolves the framePooling attribute: (nil, nil) keeps
-// the default; otherwise a pointer to the selected mode.
-func (v *CampaignVariantConfig) FramePoolingChoice() (*bool, error) {
-	switch strings.ToLower(v.FramePooling) {
-	case "":
-		return nil, nil
-	case "on", "true":
-		on := true
-		return &on, nil
-	case "off", "false":
-		off := false
-		return &off, nil
-	}
-	return nil, fmt.Errorf("framePooling %q, want on or off", v.FramePooling)
-}
-
 // Validate checks the structural invariants: a campaign name, at least one
-// variant, unique variant names, scenario references, parsable seed lists
-// and frame-pooling choices. File resolution happens in the loader.
+// variant, unique variant names, scenario references and parsable seed
+// lists. File resolution happens in the loader.
 func (c *CampaignConfig) Validate() error {
 	if c.Name == "" {
 		return fmt.Errorf("%w: campaign without name", ErrConfig)
@@ -164,9 +145,6 @@ func (c *CampaignConfig) Validate() error {
 			return fmt.Errorf("%w: variant %s: negative maxSteps", ErrConfig, label)
 		}
 		if _, err := v.SeedList(); err != nil {
-			return fmt.Errorf("%w: variant %s: %v", ErrConfig, label, err)
-		}
-		if _, err := v.FramePoolingChoice(); err != nil {
 			return fmt.Errorf("%w: variant %s: %v", ErrConfig, label, err)
 		}
 	}

@@ -26,25 +26,15 @@ func TestParseCampaignConfig(t *testing.T) {
 	if !reflect.DeepEqual(seeds, []int64{1, 3, 4, 5, 20}) {
 		t.Errorf("seeds = %v", seeds)
 	}
-	if c.Variants[1].Model != "alt-model" || !c.Variants[1].Sequential || c.Variants[1].Repeat != 3 {
+	// The retired sequential/framePooling toggles still parse: the decoder
+	// ignores attributes the schema no longer defines.
+	if c.Variants[1].Model != "alt-model" || c.Variants[1].Repeat != 3 {
 		t.Errorf("variant b = %+v", c.Variants[1])
-	}
-	off, err := c.Variants[1].FramePoolingChoice()
-	if err != nil || off == nil || *off {
-		t.Errorf("framePooling off = %v, %v", off, err)
-	}
-	on, err := c.Variants[2].FramePoolingChoice()
-	if err != nil || on == nil || !*on {
-		t.Errorf("framePooling on = %v, %v", on, err)
 	}
 	// Absent seeds attribute: nil list (the engine defaults it).
 	empty, err := c.Variants[2].SeedList()
 	if err != nil || empty != nil {
 		t.Errorf("absent seeds = %v, %v", empty, err)
-	}
-	keep, err := c.Variants[0].FramePoolingChoice()
-	if err != nil || keep != nil {
-		t.Errorf("unset framePooling = %v, %v", keep, err)
 	}
 }
 
@@ -60,7 +50,6 @@ func TestCampaignConfigValidation(t *testing.T) {
 		{"inverted range", `<Campaign name="c"><Variant name="v" scenario="s.xml" seeds="9-3"/></Campaign>`},
 		{"empty seeds", `<Campaign name="c"><Variant name="v" scenario="s.xml" seeds=""/></Campaign>`},
 		{"separator-only seeds", `<Campaign name="c"><Variant name="v" scenario="s.xml" seeds=" , "/></Campaign>`},
-		{"bad framePooling", `<Campaign name="c"><Variant name="v" scenario="s.xml" framePooling="sometimes"/></Campaign>`},
 		{"double-dash range", `<Campaign name="c"><Variant name="v" scenario="s.xml" seeds="1--3"/></Campaign>`},
 		{"open-ended range", `<Campaign name="c"><Variant name="v" scenario="s.xml" seeds="3-"/></Campaign>`},
 		{"range in garbage", `<Campaign name="c"><Variant name="v" scenario="s.xml" seeds="1,2-b"/></Campaign>`},

@@ -26,7 +26,6 @@ func synthRun(variant string, seed int64, attempt int) core.CampaignRun {
 	}
 	run := core.CampaignRun{
 		Variant: variant, Seed: seed, Attempt: attempt,
-		Engine: "parallel", FramePooling: true,
 		Steps: 5, Precision: 1, Recall: 1,
 		Report: rep,
 	}
@@ -349,5 +348,50 @@ func TestStoreSpecHashKeysLayout(t *testing.T) {
 	defer sa2.Close()
 	if sa2.Dir() != sa.Dir() {
 		t.Fatal("identical declarations must share a record set")
+	}
+}
+
+// TestStoreSpecHashPinned pins the spec hash of a campaign that sets neither
+// of the retired engine/data-plane toggles to the value it had while they
+// existed: stores written then must keep their on-disk key and still resume.
+func TestStoreSpecHashPinned(t *testing.T) {
+	c := synthCampaign("pinned")
+	c.Variants = append(c.Variants, core.CampaignVariant{
+		Name: "w", Scenario: &core.Scenario{Name: "s2", Steps: 7, Seed: 4},
+		Seeds: []int64{3}, Repeat: 2, MaxSteps: 9,
+	})
+	got, err := c.SpecHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "3ebb6391e73a3d0dd064800290de0cf8a919bda8c30e50cde98d095d0bbd0f07"
+	if got != want {
+		t.Errorf("SpecHash = %s, want %s", got, want)
+	}
+}
+
+// TestDecodeRecordIgnoresRetiredEngineKeys decodes a record in the format
+// written while runs carried engine and frame-pooling metadata: the
+// "engine"/"framePooling" keys of the run row and the "Engine"/"FramePooling"
+// keys of the report are ignored, and the fingerprint is unchanged.
+func TestDecodeRecordIgnoresRetiredEngineKeys(t *testing.T) {
+	payload := `{"run":{"variant":"v","seed":2,"attempt":1,"engine":"parallel","framePooling":true,` +
+		`"fingerprint":"8eadcc7895f676de","steps":5,"compileTimeNs":0,"durationNs":0,"stepTimeNs":0,"precision":1,"recall":1},` +
+		`"report":{"Scenario":"synthetic","Seed":2,"Steps":5,"Interval":0,"Engine":"parallel","FramePooling":true,"Err":"",` +
+		`"Events":[{"Event":"probe","Action":"synthetic action","Fired":true,"Step":2,"Detail":"","Err":""}],` +
+		`"Truth":null,"Alerts":null,"Precision":1,"Recall":1,` +
+		`"Grid":{"Converged":true,"Islands":0,"DeadBuses":0,"OpenBreakers":null},` +
+		`"Diag":{"PowerSteps":0,"MeanSolve":0,"SolverCacheHits":0,"SolverCacheMisses":0,"SolveFailures":0,` +
+		`"DataPlane":{"Transmitted":0,"Dropped":0,"PoolGets":0,"PoolHits":0,"PoolReturns":0},"FramesInspected":0,"AlertsRaised":0}}}`
+	run, err := decodeRecord([]byte(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := synthRun("v", 2, 1)
+	if run.FullFingerprint() != want.FullFingerprint() {
+		t.Errorf("fingerprint = %q, want %q", run.FullFingerprint(), want.FullFingerprint())
+	}
+	if run.Fingerprint != "8eadcc7895f676de" {
+		t.Errorf("fingerprint hash = %s, want 8eadcc7895f676de", run.Fingerprint)
 	}
 }

@@ -65,9 +65,8 @@ func runDrill(t *testing.T, opts ...sgml.RunOption) *sgml.RunReport {
 }
 
 // TestScenarioDeterminism pins the scenario layer's replay contract: a fixed
-// (model, scenario, seed) produces an identical RunReport fingerprint under
-// the parallel and the sequential step engine, with frame pooling on or off,
-// and across repeated runs.
+// (model, scenario, seed) produces an identical RunReport fingerprint across
+// repeated runs, with frame pooling on or off.
 func TestScenarioDeterminism(t *testing.T) {
 	base := runDrill(t)
 	if base.Recall != 1 {
@@ -75,20 +74,27 @@ func TestScenarioDeterminism(t *testing.T) {
 	}
 	want := base.Fingerprint()
 
-	variants := []struct {
-		name string
-		opts []sgml.RunOption
-	}{
-		{"repeat", nil},
-		{"sequential engine", []sgml.RunOption{sgml.WithSequential()}},
-		{"frame pooling off", []sgml.RunOption{sgml.WithFramePooling(false)}},
-		{"sequential + pooling off", []sgml.RunOption{sgml.WithSequential(), sgml.WithFramePooling(false)}},
+	if got := runDrill(t).Fingerprint(); got != want {
+		t.Errorf("repeat: fingerprint diverged\n--- want ---\n%s\n--- got ---\n%s", want, got)
 	}
-	for _, v := range variants {
-		rep := runDrill(t, v.opts...)
-		if got := rep.Fingerprint(); got != want {
-			t.Errorf("%s: fingerprint diverged\n--- want ---\n%s\n--- got ---\n%s", v.name, want, got)
-		}
+
+	// The copy-per-publish reference data plane replays the same run.
+	ms, err := sgml.EPICModelSet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := sgml.Compile(ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	r.Net.SetFramePooling(false)
+	rep, err := sgml.RunRange(context.Background(), r, drillScenario())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Fingerprint(); got != want {
+		t.Errorf("frame pooling off: fingerprint diverged\n--- want ---\n%s\n--- got ---\n%s", want, got)
 	}
 
 	// A different seed is a different (but internally consistent) run: the

@@ -4,7 +4,7 @@ package sgml_test
 // inspects MMS, ARP, GOOSE and port scans but never Modbus/502) must be
 // discovered by a fixed (model, seed scenario, search seed, budget),
 // minimized to <= 3 events, and the minimized XML must replay to the pinned
-// fingerprint across both step engines and both provisioning paths. The
+// fingerprint on both provisioning paths. The
 // checked-in regression corpus under testdata/corpus pins exactly that.
 
 import (
@@ -52,13 +52,13 @@ func searchSeedScenario() *sgml.Scenario {
 
 // replayFind parses a find's minimized XML and runs it under the recorded
 // step cap with the given extra options, returning the report.
-func replayFind(t *testing.T, ms *sgml.ModelSet, f sgml.SearchFind, opts ...sgml.RunOption) *sgml.RunReport {
+func replayFind(t *testing.T, ms *sgml.ModelSet, f sgml.SearchFind) *sgml.RunReport {
 	t.Helper()
 	sc, err := sgml.ParseScenario(f.XML)
 	if err != nil {
 		t.Fatalf("find %s: minimized XML does not parse: %v", f.Oracle, err)
 	}
-	rep, err := sgml.Run(context.Background(), ms, sc, append([]sgml.RunOption{sgml.WithMaxSteps(f.MaxSteps)}, opts...)...)
+	rep, err := sgml.Run(context.Background(), ms, sc, sgml.WithMaxSteps(f.MaxSteps))
 	if err != nil {
 		t.Fatalf("find %s: replay failed: %v", f.Oracle, err)
 	}
@@ -100,36 +100,35 @@ func TestSearchFindsModbusBlindSpot(t *testing.T) {
 	}
 
 	// The whole search must be a pure function of (model, seed scenario,
-	// search seed, budget): re-running under the sequential reference engine
-	// with a single worker must reproduce the identical finds.
-	seq, err := sgml.Search(context.Background(), ms, searchSeedScenario(), sgml.SearchOptions{
+	// search seed, budget): re-running with a single worker must reproduce
+	// the identical finds.
+	one, err := sgml.Search(context.Background(), ms, searchSeedScenario(), sgml.SearchOptions{
 		SearchSeed: searchTestSeed,
 		Budget:     searchTestBudget,
-		Sequential: true,
 		Workers:    1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seq.Finds) != len(res.Finds) {
-		t.Fatalf("sequential search found %d finds, parallel %d", len(seq.Finds), len(res.Finds))
+	if len(one.Finds) != len(res.Finds) {
+		t.Fatalf("one-worker search found %d finds, default %d", len(one.Finds), len(res.Finds))
 	}
 	for i := range res.Finds {
-		p, q := res.Finds[i], seq.Finds[i]
+		p, q := res.Finds[i], one.Finds[i]
 		if p.Oracle != q.Oracle || p.FoundAt != q.FoundAt || p.Events != q.Events {
-			t.Errorf("find %d diverged across engines: parallel %s@%d/%d events, sequential %s@%d/%d events",
+			t.Errorf("find %d diverged across worker counts: default %s@%d/%d events, one worker %s@%d/%d events",
 				i, p.Oracle, p.FoundAt, p.Events, q.Oracle, q.FoundAt, q.Events)
 		}
 		if string(p.XML) != string(q.XML) {
-			t.Errorf("find %s: minimized XML diverged across engines:\n%s\n---\n%s", p.Oracle, p.XML, q.XML)
+			t.Errorf("find %s: minimized XML diverged across worker counts:\n%s\n---\n%s", p.Oracle, p.XML, q.XML)
 		}
 		if p.Fingerprint != q.Fingerprint {
-			t.Errorf("find %s: fingerprint diverged across engines", p.Oracle)
+			t.Errorf("find %s: fingerprint diverged across worker counts", p.Oracle)
 		}
 	}
 
 	// The minimized XML replays to the pinned fingerprint and keeps the
-	// oracle's verdict across both step engines and both provisioning paths.
+	// oracle's verdict on both provisioning paths.
 	oracle, err := sgml.OracleByKey(md.Oracle)
 	if err != nil {
 		t.Fatal(err)
@@ -143,25 +142,13 @@ func TestSearchFindsModbusBlindSpot(t *testing.T) {
 		name   string
 		replay func() *sgml.RunReport
 	}{
-		{"fresh-parallel", func() *sgml.RunReport { return replayFind(t, ms, md) }},
-		{"fresh-sequential", func() *sgml.RunReport { return replayFind(t, ms, md, sgml.WithSequential()) }},
-		{"fork-parallel", func() *sgml.RunReport {
+		{"fresh", func() *sgml.RunReport { return replayFind(t, ms, md) }},
+		{"fork", func() *sgml.RunReport {
 			sc, err := sgml.ParseScenario(md.XML)
 			if err != nil {
 				t.Fatal(err)
 			}
 			rep, err := sgml.RunCompiled(context.Background(), root, sc, sgml.WithMaxSteps(md.MaxSteps))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return rep
-		}},
-		{"fork-sequential", func() *sgml.RunReport {
-			sc, err := sgml.ParseScenario(md.XML)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep, err := sgml.RunCompiled(context.Background(), root, sc, sgml.WithMaxSteps(md.MaxSteps), sgml.WithSequential())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -310,8 +297,8 @@ func TestModbusTamperValidation(t *testing.T) {
 	}
 }
 
-// TestCorpusReplay replays every checked-in minimized repro under both step
-// engines and asserts the pinned fingerprint and the recorded oracle verdict —
+// TestCorpusReplay replays every checked-in minimized repro and asserts the
+// pinned fingerprint and the recorded oracle verdict —
 // the regression net the search tentpole exists to weave.
 func TestCorpusReplay(t *testing.T) {
 	entries, err := sgml.ReadSearchCorpus("testdata/corpus")
@@ -336,21 +323,15 @@ func TestCorpusReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, engine := range []string{"parallel", "sequential"} {
-				opts := []sgml.RunOption{sgml.WithMaxSteps(e.MaxSteps)}
-				if engine == "sequential" {
-					opts = append(opts, sgml.WithSequential())
-				}
-				rep, err := sgml.Run(context.Background(), ms, sc, opts...)
-				if err != nil {
-					t.Fatalf("%s: %v", engine, err)
-				}
-				if got := rep.Fingerprint(); got != e.Fingerprint {
-					t.Errorf("%s: fingerprint diverged from pinned corpus entry:\n got %s\nwant %s", engine, got, e.Fingerprint)
-				}
-				if _, ok := oracle.Assess(nil, rep); !ok {
-					t.Errorf("%s: replay lost the %s verdict", engine, e.Oracle)
-				}
+			rep, err := sgml.Run(context.Background(), ms, sc, sgml.WithMaxSteps(e.MaxSteps))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rep.Fingerprint(); got != e.Fingerprint {
+				t.Errorf("fingerprint diverged from pinned corpus entry:\n got %s\nwant %s", got, e.Fingerprint)
+			}
+			if _, ok := oracle.Assess(nil, rep); !ok {
+				t.Errorf("replay lost the %s verdict", e.Oracle)
 			}
 		})
 	}

@@ -37,11 +37,9 @@ type (
 // ErrModel is returned when an SG-ML model cannot be compiled.
 var ErrModel = core.ErrModel
 
-// WithWorkers sets the worker-pool size of the receiving call: the parallel
-// step engine's pool for Compile/Run (default runtime.GOMAXPROCS(0); 1 keeps
-// the two-phase engine on a single goroutine), or the number of concurrently
-// executing runs for RunCampaign. Worker count never changes committed state
-// or run fingerprints.
+// WithWorkers sets how many runs RunCampaign executes concurrently (default
+// runtime.GOMAXPROCS(0)). Compile and Run accept and ignore it: a range steps
+// on one goroutine. Worker count never changes run fingerprints.
 func WithWorkers(n int) Option { return core.WithWorkers(n) }
 
 // Compile runs the SG-ML Processor on a model set. The expensive derivation
@@ -122,6 +120,5 @@ func packScaleModel(name string, sm *epic.ScaleModel) *ModelSet {
 		SED:         sm.SED,
 		IEDConfig:   sm.IEDConfigs,
 		PowerConfig: sm.PowerConfig,
-		ShardHints:  sm.ShardHints,
 	}
 }

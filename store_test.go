@@ -12,10 +12,7 @@ import (
 	"repro/netem"
 )
 
-// storeSweep is the differential workload: the same drill under the shipped
-// configuration (8 seeds) and under the reference engine + reference data
-// plane, so the store contract is exercised across both step engines and
-// both data planes in one sweep.
+// storeSweep is the differential workload: the same drill over 8 seeds.
 func storeSweep(ms *sgml.ModelSet) *sgml.Campaign {
 	drill := &sgml.Scenario{
 		Name:  "store-drill",
@@ -33,15 +30,11 @@ func storeSweep(ms *sgml.ModelSet) *sgml.Campaign {
 				Ref: "LD0/XCBR1.Pos.Oper", Value: mms.NewBool(false)}},
 		},
 	}
-	reference := false
 	return &sgml.Campaign{
 		Name:  "store-sweep",
 		Model: ms,
 		Variants: []sgml.CampaignVariant{
-			{Name: "parallel", Scenario: drill,
-				Seeds: []int64{1, 2, 3, 4, 5, 6, 7, 8}},
-			{Name: "reference", Scenario: drill, Seeds: []int64{1, 2}, Sequential: true,
-				FramePooling: &reference},
+			{Name: "sweep", Scenario: drill, Seeds: []int64{1, 2, 3, 4, 5, 6, 7, 8}},
 		},
 	}
 }
@@ -81,8 +74,7 @@ func runKey(run *sgml.CampaignRun) string {
 // TestCampaignStoreResumeDifferential pins the load-bearing store contract:
 // an interrupted sweep resumed from its store yields a fingerprint map and a
 // Merkle root byte-identical to the same sweep run uninterrupted — across
-// both provisioning paths (compile-once-fork and per-run-compile) and both
-// step engines (the sweep carries a sequential reference variant).
+// both provisioning paths (compile-once-fork and per-run-compile).
 func TestCampaignStoreResumeDifferential(t *testing.T) {
 	ms, err := sgml.EPICModelSet()
 	if err != nil {

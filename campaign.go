@@ -32,9 +32,8 @@ type (
 	// DeterminismMismatch names a (variant, seed) group whose repeated runs
 	// disagreed on their fingerprint.
 	DeterminismMismatch = core.DeterminismMismatch
-	// CampaignOption tunes a campaign execution (WithWorkers,
-	// WithPerRunCompile, WithStore, WithResume, WithRunSink, WithRunTimeout,
-	// WithRetries).
+	// CampaignOption tunes a campaign execution (WithWorkers, WithStore,
+	// WithResume, WithRunSink, WithRunTimeout, WithRetries).
 	CampaignOption = core.CampaignOption
 	// RunFailure classifies why a campaign run failed; see the Fail*
 	// constants and CampaignRun.Failure.
@@ -65,12 +64,6 @@ const (
 	FailScenario  = core.FailScenario
 	FailCancelled = core.FailCancelled
 )
-
-// WithPerRunCompile makes RunCampaign compile a fresh range for every run
-// (the pre-fork reference path) instead of compiling each distinct model once
-// and forking per run. The two paths produce byte-identical run fingerprints;
-// the knob exists for ablation and as a conservative fallback.
-func WithPerRunCompile() CampaignOption { return core.WithPerRunCompile() }
 
 // WithRunSink attaches a streaming observer to RunCampaign: every executed
 // run is delivered as it completes, in completion order, from worker

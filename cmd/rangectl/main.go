@@ -16,12 +16,11 @@
 //	rangectl campaign run <model-dir> <campaign-file> [-workers N] [-json out.json]
 //	                      [-store DIR] [-resume] [-run-timeout D] [-retries N]
 //
-// Campaigns fork a compile-once root range per run; -per-run-compile restores
-// the reference behaviour of compiling a fresh range for every run. With
-// -store every completed run is checkpointed into the durable result store
-// under DIR as it finishes, and a fully-clean sweep is sealed under a Merkle
-// root; -resume restores the store's records and executes only the missing
-// cells, so an interrupted sweep pays only for what it never finished.
+// Campaigns fork a compile-once root range per run. With -store every
+// completed run is checkpointed into the durable result store under DIR as it
+// finishes, and a fully-clean sweep is sealed under a Merkle root; -resume
+// restores the store's records and executes only the missing cells, so an
+// interrupted sweep pays only for what it never finished.
 //
 // Campaign execution is fault tolerant: a run that panics or exceeds
 // -run-timeout fails alone (classified, with its panic stack on the record)
@@ -232,7 +231,6 @@ func campaignMain(args []string) error {
 func campaignRunMain(args []string) error {
 	fs := flag.NewFlagSet("campaign run", flag.ExitOnError)
 	workers := fs.Int("workers", 0, "concurrent runs (0 uses the campaign file's value, then GOMAXPROCS)")
-	perRunCompile := fs.Bool("per-run-compile", false, "compile a fresh range per run instead of forking a compile-once root")
 	jsonOut := fs.String("json", "", "also write the machine-readable report to this file")
 	storeDir := fs.String("store", "", "checkpoint every completed run into the durable result store under this directory")
 	resume := fs.Bool("resume", false, "restore the store's records and execute only the missing cells (requires -store)")
@@ -268,9 +266,6 @@ func campaignRunMain(args []string) error {
 	var opts []sgml.CampaignOption
 	if *workers > 0 {
 		opts = append(opts, sgml.WithWorkers(*workers))
-	}
-	if *perRunCompile {
-		opts = append(opts, sgml.WithPerRunCompile())
 	}
 	if *storeDir != "" {
 		opts = append(opts, sgml.WithStore(*storeDir))

@@ -85,9 +85,8 @@
 // sweep of scenario variants × seed lists × repeats, executed by
 // RunCampaign on a bounded worker pool (WithWorkers) with one
 // isolated CyberRange per run. Each distinct model is compiled once and every
-// run forks the compiled root (see Forking below); WithPerRunCompile restores
-// the reference behaviour of compiling a fresh range per run. Either way every
-// run owns its range, so worker count and run ordering never change any run's
+// run forks the compiled root (see Forking below), so every run owns its
+// range and worker count and run ordering never change any run's
 // fingerprint. The aggregated CampaignReport carries per-variant distributions
 // (precision/recall, alert latency, solver cache hit rate, data-plane
 // throughput, step-time quantiles) and a cross-seed determinism verdict:
@@ -211,8 +210,7 @@
 // half: the network fabric, kv bus, device instances and per-topology solver
 // cache. CyberRange.Fork clones a compiled, unstarted range into a fully
 // isolated sibling in about a millisecond: forks share only read-only
-// artifacts (plus a recycler that hands stopped forks' fabric inboxes to the
-// next fork), and a forked range is indistinguishable from a freshly compiled
+// artifacts, and a forked range is indistinguishable from a freshly compiled
 // one — identical run fingerprints under both data planes, pinned by
 // TestForkDeterminism. RunCompiled is the one-shot form:
 //

@@ -269,8 +269,7 @@ func (s *memorySink) Put(run CampaignRun) error {
 // Each distinct model is compiled once and every run forks the compiled root
 // (CyberRange.Fork): the expensive SG-ML pipeline — merge, model generation,
 // config validation, solver warm-up — runs once per model instead of once per
-// run, and stopped forks hand their fabric inboxes back for the next fork.
-// WithPerRunCompile restores the old compile-every-run behaviour; the two
+// run. WithPerRunCompile, the test oracle, compiles every run instead; the two
 // paths produce byte-identical run fingerprints (pinned by the campaign fork
 // tests and BenchmarkScale_CampaignThroughput).
 //
@@ -396,10 +395,6 @@ func RunCampaign(ctx context.Context, c *Campaign, opts ...CampaignOption) (*Cam
 				rootErrTimes[ms] = time.Since(compileStart)
 				continue
 			}
-			// The root exists only to be forked: donate its idle fabric
-			// channels to the recycler so the sweep's first fork starts from
-			// a warm pool instead of allocating a fabric of its own.
-			root.releaseFabric()
 			roots[ms] = root
 		}
 		defer func() {

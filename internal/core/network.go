@@ -24,15 +24,6 @@ type BuiltNetwork struct {
 
 // GenerateNetwork is the Mininet-launcher stage.
 func GenerateNetwork(cons *sclmerge.Consolidated) (*BuiltNetwork, error) {
-	return generateNetwork(cons, nil)
-}
-
-// generateNetwork is GenerateNetwork with an optional inbox recycler: the
-// compiled-range fork path threads one recycler through every fabric it
-// generates so a fork re-uses the drained device inboxes of stopped siblings
-// (allocating and zeroing those channels dominates fabric construction at
-// scale).
-func generateNetwork(cons *sclmerge.Consolidated, rc *netem.InboxRecycler) (*BuiltNetwork, error) {
 	doc := cons.Doc
 	if doc.Communication == nil || len(doc.Communication.SubNetworks) == 0 {
 		return nil, fmt.Errorf("%w: no communication section", ErrModel)
@@ -42,11 +33,6 @@ func generateNetwork(cons *sclmerge.Consolidated, rc *netem.InboxRecycler) (*Bui
 		Hosts:    make(map[string]*netem.Host),
 		Switches: make(map[string]*netem.Switch),
 		AddrOf:   make(map[string]netem.IPv4),
-	}
-	if rc != nil {
-		if err := out.Net.UseInboxRecycler(rc); err != nil {
-			return nil, err
-		}
 	}
 	wanLatency := time.Duration(cons.WAN.LatencyMS * float64(time.Millisecond))
 

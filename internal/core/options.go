@@ -94,10 +94,9 @@ func (perRunCompileOption) campaignOption()          {}
 
 // WithPerRunCompile makes RunCampaign compile a fresh range for every run
 // (the pre-fork reference path) instead of compiling each distinct model once
-// and forking per run. The two paths produce byte-identical run fingerprints
-// — pinned by the campaign fork tests and the campaign-throughput bench —
-// so this knob exists for ablation and as the conservative fallback, not for
-// correctness.
+// and forking per run. It is the test oracle of the fork path: the two paths
+// produce byte-identical run fingerprints, pinned by the campaign fork tests
+// and the campaign-throughput bench. It is not part of the public API.
 func WithPerRunCompile() CampaignOption { return perRunCompileOption{} }
 
 type runSinkOption struct{ sink RunSink }

@@ -87,11 +87,11 @@ type RealTimeStats struct {
 
 // rangeArtifacts is everything Compile derives from a ModelSet that is
 // immutable once built: the merged SCL, the power-model template, validated
-// scenario events, per-device configurations, the prewarmed solver template,
-// the coupling-cache template and the fabric's inbox recycler. A CyberRange
-// is an instantiation of these artifacts; Fork re-instantiates them, which is
-// what makes forked and freshly compiled ranges byte-identical — both come
-// off the same assembly path, the fork merely skips re-deriving the inputs.
+// scenario events, per-device configurations, the prewarmed solver template
+// and the coupling-cache template. A CyberRange is an instantiation of these
+// artifacts; Fork re-instantiates them, which is what makes forked and
+// freshly compiled ranges byte-identical — both come off the same assembly
+// path, the fork merely skips re-deriving the inputs.
 type rangeArtifacts struct {
 	name     string
 	cons     *sclmerge.Consolidated
@@ -110,9 +110,6 @@ type rangeArtifacts struct {
 	simTmpl *powersim.Simulator
 	// busTmpl is the coupling cache's initial state, forked per instantiation.
 	busTmpl *kvbus.Bus
-	// recycler hands drained device inbox channels from stopped ranges to the
-	// next instantiation (the dominant fabric-construction cost at scale).
-	recycler *netem.InboxRecycler
 }
 
 // plcBuild is one PLC's precompiled build inputs: config, extracted
@@ -138,11 +135,11 @@ func Compile(ms *ModelSet, opts ...CompileOption) (*CyberRange, error) {
 }
 
 // Fork clones a compiled, not-yet-started range into a fully isolated
-// sibling: fresh fabric (recycled inbox channels), forked coupling cache,
-// private grid and simulator (sharing only the solver's read-only symbolic
-// artifacts), and freshly instantiated IEDs, PLCs and SCADA from the
-// precompiled configs. Fork and Compile share one assembly path, so a forked
-// range's runs are byte-identical to a freshly compiled range's (pinned by
+// sibling: fresh fabric, forked coupling cache, private grid and simulator
+// (sharing only the solver's read-only symbolic artifacts), and freshly
+// instantiated IEDs, PLCs and SCADA from the precompiled configs. Fork and
+// Compile share one assembly path, including the fabric, so a forked range's
+// runs are byte-identical to a freshly compiled range's (pinned by
 // TestForkDeterminism and the campaign differential tests). Forks may be
 // created concurrently and forked again; each owns its own Stop.
 func (r *CyberRange) Fork() (*CyberRange, error) {
@@ -152,23 +149,11 @@ func (r *CyberRange) Fork() (*CyberRange, error) {
 	if r.artifacts == nil {
 		return nil, fmt.Errorf("%w: range was not produced by Compile", ErrModel)
 	}
-	built, err := generateNetwork(r.artifacts.cons, r.artifacts.recycler)
+	built, err := GenerateNetwork(r.artifacts.cons)
 	if err != nil {
 		return nil, err
 	}
 	return r.artifacts.instantiate(built)
-}
-
-// releaseFabric hands the range's idle fabric inboxes to the artifacts'
-// recycler. Only valid on a never-started range that will serve purely as a
-// fork root from here on (RunCampaign's compile-once roots): the range's own
-// fabric becomes undriveable, while Fork — which regenerates a fabric from
-// the artifacts — is unaffected and the first fork inherits the channels.
-func (r *CyberRange) releaseFabric() {
-	if r.started {
-		return
-	}
-	r.Net.ReclaimInboxes()
 }
 
 // buildArtifacts runs stages 1-2 of the pipeline (merge, power model), the
@@ -204,11 +189,10 @@ func buildArtifacts(ms *ModelSet) (*rangeArtifacts, *BuiltNetwork, error) {
 	}
 
 	a := &rangeArtifacts{
-		name:     ms.Name,
-		cons:     cons,
-		grid:     grid,
-		busTmpl:  kvbus.New(),
-		recycler: netem.NewInboxRecycler(),
+		name:    ms.Name,
+		cons:    cons,
+		grid:    grid,
+		busTmpl: kvbus.New(),
 	}
 	a.interval = 100 * time.Millisecond
 	if ms.PowerConfig != nil {
@@ -217,7 +201,7 @@ func buildArtifacts(ms *ModelSet) (*rangeArtifacts, *BuiltNetwork, error) {
 
 	// Stage 3 (once): the root fabric. Later instantiations regenerate it
 	// from cons; the host/address tables below are derived from this one.
-	built, err := generateNetwork(cons, a.recycler)
+	built, err := GenerateNetwork(cons)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -115,6 +115,7 @@ type IED struct {
 	host *netem.Host
 	bus  *kvbus.Bus
 	srv  *mms.Server
+	on   map[string]bool // enabled protection classes, fixed at New
 
 	gpub *goose.Publisher
 	gsub *goose.Subscriber
@@ -133,34 +134,32 @@ type IED struct {
 	steps                  uint64
 }
 
-// enabled reports whether a protection class is both configured and declared
-// in the ICD (the paper enables functions from the ICD's logical nodes).
-func (d *IED) enabled(class string) bool {
-	if d.cfg.Entry == nil {
-		return false
+// enabledClasses returns the protection classes that are both configured in
+// the entry and declared in the ICD (the paper enables functions from the
+// ICD's logical nodes). Both inputs are immutable, so New decides this once.
+func enabledClasses(cfg Config) map[string]bool {
+	on := make(map[string]bool)
+	if cfg.Entry == nil {
+		return on
 	}
-	p := d.cfg.Entry.Protection
-	var configured bool
-	switch class {
-	case "PTOC":
-		configured = p.PTOC != nil
-	case "PTOV":
-		configured = p.PTOV != nil
-	case "PTUV":
-		configured = p.PTUV != nil
-	case "PDIF":
-		configured = p.PDIF != nil
-	case "CILO":
-		configured = p.CILO != nil
+	p := cfg.Entry.Protection
+	configured := map[string]bool{
+		"PTOC": p.PTOC != nil,
+		"PTOV": p.PTOV != nil,
+		"PTUV": p.PTUV != nil,
+		"PDIF": p.PDIF != nil,
+		"CILO": p.CILO != nil,
 	}
-	if !configured {
-		return false
+	for class, ok := range configured {
+		if ok && (cfg.ICD == nil || len(cfg.ICD.IEDs) == 0 || cfg.ICD.IEDs[0].HasLNClass(class)) {
+			on[class] = true
+		}
 	}
-	if d.cfg.ICD == nil || len(d.cfg.ICD.IEDs) == 0 {
-		return true
-	}
-	return d.cfg.ICD.IEDs[0].HasLNClass(class)
+	return on
 }
+
+// enabled reports whether a protection class is enabled (see enabledClasses).
+func (d *IED) enabled(class string) bool { return d.on[class] }
 
 // New builds the IED on a host coupled to the kv bus.
 func New(host *netem.Host, bus *kvbus.Bus, cfg Config) (*IED, error) {
@@ -169,6 +168,7 @@ func New(host *netem.Host, bus *kvbus.Bus, cfg Config) (*IED, error) {
 		host:       host,
 		bus:        bus,
 		srv:        mms.NewServer("SG-ML", "vIED "+cfg.Name),
+		on:         enabledClasses(cfg),
 		lastStatus: make(map[string]bool),
 	}
 	if cfg.Entry != nil {

@@ -11,10 +11,12 @@
 // (§IV-B, Fig 6) works by actual cache poisoning, exactly as on the Mininet
 // range.
 //
-// Delivery is asynchronous: every device runs a worker goroutine and frames
-// traverse bounded queues, so the fabric exhibits real concurrency effects
-// (reordering across links, drops on full queues) while the loss generator
-// stays seeded and replayable (Network.SeedRand).
+// Delivery is asynchronous: every device runs a worker goroutine draining a
+// FIFO queue that grows on demand up to a fixed bound, so the fabric exhibits
+// real concurrency effects (reordering across links, drops on full queues)
+// while the loss generator stays seeded and replayable (Network.SeedRand).
+// Building a fabric allocates no queue memory up front: a device's queue
+// grows only to its peak backlog.
 //
 // # Frame pooling (the zero-allocation data plane)
 //

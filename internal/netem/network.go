@@ -107,75 +107,64 @@ type inbound struct {
 	frame Frame
 }
 
+// devEntry is one registered device and its delivery queue: a FIFO that
+// grows on demand up to inboxDepth frames, drained by the device's worker.
+// The backing array is reused whenever the queue empties, so it only ever
+// grows to the device's peak backlog.
 type devEntry struct {
 	dev   Device
-	inbox chan inbound
+	ready chan struct{} // 1-slot wake-up: set by push, taken by the worker
+
+	mu   sync.Mutex
+	q    []inbound
+	head int // q[head:] is the queued backlog
 }
 
-// inboxDepth is the per-device delivery queue length. The recycler depends on
-// every inbox sharing this capacity, so a reclaimed channel is
-// indistinguishable from a fresh one.
+// inboxDepth bounds each device's queued backlog; frames beyond it are
+// congestion drops.
 const inboxDepth = 4096
 
-// InboxRecycler recycles drained device inbox channels across fabrics built
-// from the same compiled artifacts. The per-device inbox (inboxDepth slots)
-// dominates fabric construction cost at scale — ~200 KB of channel buffer per
-// device that the runtime must zero — so a range fork that rebuilds its fabric
-// from a recycler skips nearly all of that allocation. The recycler is
-// deliberately NOT a global pool: the reference per-run-compile path keeps its
-// plain make-per-device cost, and channels never migrate between unrelated
-// models.
-//
-// Safety contract: a channel enters the free list only after the owning
-// Network's Stop has removed every device entry under the network mutex and
-// drained residual frames. Because deliverTo performs its (non-blocking) send
-// while holding that same mutex whenever a recycler is attached, no sender can
-// hold a reference to a reclaimed channel — late deliveries from latency
-// timers or TCP retransmissions miss the map lookup and release their frame
-// instead.
-type InboxRecycler struct {
-	mu   sync.Mutex
-	free []chan inbound
+func newDevEntry(d Device) *devEntry {
+	return &devEntry{dev: d, ready: make(chan struct{}, 1)}
 }
 
-// NewInboxRecycler returns an empty recycler, shareable by every fabric built
-// from one compiled model's artifacts (concurrent forks included).
-func NewInboxRecycler() *InboxRecycler { return &InboxRecycler{} }
-
-// Len reports the number of idle channels held (tests, diagnostics).
-func (rc *InboxRecycler) Len() int {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return len(rc.free)
-}
-
-func (rc *InboxRecycler) get() chan inbound {
-	rc.mu.Lock()
-	if n := len(rc.free); n > 0 {
-		ch := rc.free[n-1]
-		rc.free[n-1] = nil
-		rc.free = rc.free[:n-1]
-		rc.mu.Unlock()
-		return ch
+// push enqueues m and wakes the worker, or refuses when the backlog is at
+// inboxDepth.
+func (e *devEntry) push(m inbound) bool {
+	e.mu.Lock()
+	if len(e.q)-e.head >= inboxDepth {
+		e.mu.Unlock()
+		return false
 	}
-	rc.mu.Unlock()
-	return make(chan inbound, inboxDepth)
+	if len(e.q) == cap(e.q) && e.head > 0 {
+		// Slide the backlog to the front instead of growing past it.
+		n := copy(e.q, e.q[e.head:])
+		clear(e.q[n:])
+		e.q, e.head = e.q[:n], 0
+	}
+	e.q = append(e.q, m)
+	e.mu.Unlock()
+	select {
+	case e.ready <- struct{}{}:
+	default: // a wake-up is already pending
+	}
+	return true
 }
 
-// put drains residual frames (releasing their payloads to the frame pool) and
-// shelves the channel. Callers must guarantee exclusive ownership.
-func (rc *InboxRecycler) put(ch chan inbound) {
-	for {
-		select {
-		case m := <-ch:
-			m.frame.release()
-		default:
-			rc.mu.Lock()
-			rc.free = append(rc.free, ch)
-			rc.mu.Unlock()
-			return
-		}
+// pop dequeues the oldest frame; ok is false on an empty queue.
+func (e *devEntry) pop() (m inbound, ok bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.head == len(e.q) {
+		return inbound{}, false
 	}
+	m = e.q[e.head]
+	e.q[e.head] = inbound{}
+	e.head++
+	if e.head == len(e.q) {
+		e.q, e.head = e.q[:0], 0
+	}
+	return m, true
 }
 
 // Errors reported by the fabric.
@@ -204,10 +193,6 @@ type Network struct {
 	dropped     atomic.Uint64 // frames lost to loss-rate, tamper or full inboxes
 	poolingOff  atomic.Bool   // reference path: plain allocations, no releases
 	pool        payloadPool
-
-	// recycler, when set, supplies device inbox channels and receives them
-	// back at Stop (see InboxRecycler for the ownership rules).
-	recycler *InboxRecycler
 }
 
 // NewNetwork returns an empty fabric.
@@ -218,22 +203,6 @@ func NewNetwork() *Network {
 		done:    make(chan struct{}),
 		rng:     0x9E3779B97F4A7C15,
 	}
-}
-
-// UseInboxRecycler attaches a recycler supplying this fabric's device inbox
-// channels; Stop returns them, drained, for the next fabric built from the
-// same artifacts. Must be called before any device is added. A recycled
-// network gives up its device registry at Stop — Device and Topology return
-// nothing afterwards — which is fine for the fork path, where a stopped range
-// is never inspected again.
-func (n *Network) UseInboxRecycler(rc *InboxRecycler) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if len(n.devices) > 0 {
-		return fmt.Errorf("netem: recycler must be attached before devices are added")
-	}
-	n.recycler = rc
-	return nil
 }
 
 // SetFramePooling toggles the pooled (zero-allocation) frame payload path.
@@ -265,13 +234,7 @@ func (n *Network) AddDevice(d Device) error {
 	if _, dup := n.devices[d.Name()]; dup {
 		return fmt.Errorf("%w: %q", ErrDuplicateDevice, d.Name())
 	}
-	var inbox chan inbound
-	if n.recycler != nil {
-		inbox = n.recycler.get()
-	} else {
-		inbox = make(chan inbound, inboxDepth)
-	}
-	n.devices[d.Name()] = &devEntry{dev: d, inbox: inbox}
+	n.devices[d.Name()] = newDevEntry(d)
 	return nil
 }
 
@@ -358,8 +321,19 @@ func (n *Network) Start() error {
 				select {
 				case <-n.done:
 					return
-				case m := <-e.inbox:
+				case <-e.ready:
+				}
+				for {
+					m, ok := e.pop()
+					if !ok {
+						break
+					}
 					e.dev.HandleFrame(m.port, m.frame)
+					select {
+					case <-n.done:
+						return
+					default:
+					}
 				}
 			}
 		}()
@@ -367,19 +341,12 @@ func (n *Network) Start() error {
 	return nil
 }
 
-// Stop halts delivery and waits for workers to drain. With a recycler
-// attached, the device inbox channels are then reclaimed: entries are removed
-// under the mutex (so no deliverTo can be holding one — its send happens
-// inside the same critical section on the recycled path), residual frames are
-// released, and the drained channels go back to the recycler for the next
-// fabric built from the same artifacts.
+// Stop halts delivery and waits for the workers to exit. The device
+// registry survives, so Device and Topology keep answering.
 func (n *Network) Stop() {
 	n.mu.Lock()
 	if !n.started {
 		n.mu.Unlock()
-		// Never-started fabric: no workers, no in-flight senders — its
-		// inboxes can go straight back to the recycler (no-op without one).
-		n.reclaimInboxes()
 		return
 	}
 	select {
@@ -391,40 +358,6 @@ func (n *Network) Stop() {
 	close(n.done)
 	n.mu.Unlock()
 	n.wg.Wait()
-	n.reclaimInboxes()
-}
-
-// ReclaimInboxes returns every device inbox to the attached recycler without
-// waiting for the network to have run: the fabric gives up its device
-// registry and becomes unusable. A compile-once root range whose fabric will
-// only ever be forked, never driven, calls this so its idle channels seed the
-// recycler instead of sitting stranded until the root's own Stop. No-op
-// without a recycler, and on a started network (Stop owns reclaim there).
-func (n *Network) ReclaimInboxes() {
-	n.mu.Lock()
-	if n.recycler == nil || n.started {
-		n.mu.Unlock()
-		return
-	}
-	entries := n.devices
-	n.devices = make(map[string]*devEntry)
-	n.mu.Unlock()
-	for _, e := range entries {
-		n.recycler.put(e.inbox)
-	}
-}
-
-func (n *Network) reclaimInboxes() {
-	if n.recycler == nil {
-		return
-	}
-	n.mu.Lock()
-	entries := n.devices
-	n.devices = make(map[string]*devEntry)
-	n.mu.Unlock()
-	for _, e := range entries {
-		n.recycler.put(e.inbox)
-	}
 }
 
 // Dropped reports frames lost to loss rate, tamper drops, down links and
@@ -491,43 +424,24 @@ func (n *Network) Transmit(dev string, port int, f Frame) {
 	n.deliverTo(to, f)
 }
 
-// deliverTo enqueues the frame on the destination device's inbox, releasing
+// deliverTo enqueues the frame on the destination device's queue, releasing
 // it on every path that loses it.
 func (n *Network) deliverTo(to endpoint, f Frame) {
 	n.mu.Lock()
 	entry := n.devices[to.dev]
+	n.mu.Unlock()
 	if entry == nil {
-		n.mu.Unlock()
 		f.release()
 		return
 	}
-	if n.recycler == nil {
-		// Reference path: entries are stable for the network's lifetime, so
-		// the send can happen outside the lock (the original hot path).
-		n.mu.Unlock()
-		select {
-		case entry.inbox <- inbound{port: to.port, frame: f}:
-		case <-n.done:
-			f.release()
-		default:
-			n.countDrop(f) // inbox overflow: congestion drop
-		}
-		return
-	}
-	// Recycled path: the (non-blocking) send stays inside the critical
-	// section, so once Stop's reclaim has removed the entry under this mutex
-	// no sender can still hold the channel — the invariant that makes handing
-	// the channel to a sibling fork safe. Late async senders (link-latency
-	// timers, TCP retransmissions) miss the lookup above and release instead.
 	select {
-	case entry.inbox <- inbound{port: to.port, frame: f}:
-		n.mu.Unlock()
 	case <-n.done:
-		n.mu.Unlock()
 		f.release()
+		return
 	default:
-		n.mu.Unlock()
-		n.countDrop(f) // inbox overflow: congestion drop
+	}
+	if !entry.push(inbound{port: to.port, frame: f}) {
+		n.countDrop(f) // queue full: congestion drop
 	}
 }
 

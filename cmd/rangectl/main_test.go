@@ -132,43 +132,46 @@ func findStoreRecords(t *testing.T, storeDir string) string {
 // TestCampaignStoreResumeVerifyCLI drives the full durable pipeline through
 // the CLI: run with -store, re-run with -resume (trivially restoring every
 // cell and resealing the same root), then "campaign verify" for the whole
-// store and for single-run inclusion proofs.
+// store and for single-run inclusion proofs. The sweep provisions every run
+// by forking one compiled range, hence the subtest name.
 func TestCampaignStoreResumeVerifyCLI(t *testing.T) {
 	model := writeEPICModelDir(t)
-	dir := t.TempDir()
-	campaign := writeMiniCampaign(t, dir)
-	storeDir := filepath.Join(dir, "results")
-	if err := campaignMain([]string{"run", model, campaign, "-store", storeDir}); err != nil {
-		t.Fatalf("campaign run -store: %v", err)
-	}
-	sealed, err := sgml.VerifyStore(storeDir)
-	if err != nil || len(sealed) != 1 {
-		t.Fatalf("store not sealed after clean sweep: %v", err)
-	}
-	// Resume over a complete store re-executes nothing and reseals the
-	// identical root.
-	if err := campaignMain([]string{"run", model, campaign, "-store", storeDir, "-resume"}); err != nil {
-		t.Fatalf("campaign run -resume: %v", err)
-	}
-	resealed, err := sgml.VerifyStore(storeDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resealed[0].Root != sealed[0].Root {
-		t.Fatalf("resume changed the sealed root: %s -> %s", sealed[0].Root, resealed[0].Root)
-	}
-	// Whole-store audit and per-run inclusion proofs via the CLI.
-	if err := campaignMain([]string{"verify", storeDir}); err != nil {
-		t.Fatalf("campaign verify: %v", err)
-	}
-	for _, cell := range []string{"a:1:1", "a:2:1", "b:1:1", "b:1:2"} {
-		if err := campaignMain([]string{"verify", storeDir, "-run", cell}); err != nil {
-			t.Fatalf("campaign verify -run %s: %v", cell, err)
+	t.Run("forked", func(t *testing.T) {
+		dir := t.TempDir()
+		campaign := writeMiniCampaign(t, dir)
+		storeDir := filepath.Join(dir, "results")
+		if err := campaignMain([]string{"run", model, campaign, "-store", storeDir}); err != nil {
+			t.Fatalf("campaign run -store: %v", err)
 		}
-	}
-	if err := campaignMain([]string{"verify", storeDir, "-run", "a:9:1"}); err == nil {
-		t.Fatal("verify accepted a cell the store never held")
-	}
+		sealed, err := sgml.VerifyStore(storeDir)
+		if err != nil || len(sealed) != 1 {
+			t.Fatalf("store not sealed after clean sweep: %v", err)
+		}
+		// Resume over a complete store re-executes nothing and reseals the
+		// identical root.
+		if err := campaignMain([]string{"run", model, campaign, "-store", storeDir, "-resume"}); err != nil {
+			t.Fatalf("campaign run -resume: %v", err)
+		}
+		resealed, err := sgml.VerifyStore(storeDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resealed[0].Root != sealed[0].Root {
+			t.Fatalf("resume changed the sealed root: %s -> %s", sealed[0].Root, resealed[0].Root)
+		}
+		// Whole-store audit and per-run inclusion proofs via the CLI.
+		if err := campaignMain([]string{"verify", storeDir}); err != nil {
+			t.Fatalf("campaign verify: %v", err)
+		}
+		for _, cell := range []string{"a:1:1", "a:2:1", "b:1:1", "b:1:2"} {
+			if err := campaignMain([]string{"verify", storeDir, "-run", cell}); err != nil {
+				t.Fatalf("campaign verify -run %s: %v", cell, err)
+			}
+		}
+		if err := campaignMain([]string{"verify", storeDir, "-run", "a:9:1"}); err == nil {
+			t.Fatal("verify accepted a cell the store never held")
+		}
+	})
 }
 
 // TestCampaignStoreTamperCLI pins the acceptance contract: one

@@ -11,7 +11,8 @@
 //	Fig 6     — MITM measurement tamper:   BenchmarkFig6_* / TestFig6_*
 //	§IV-A     — scalability:               BenchmarkScale_* / TestScale_104IEDs100ms
 //	§IV-B     — false command injection:   BenchmarkFCI_* / TestFCI_*
-//	ablations — design choices:            BenchmarkAblation_*
+//	ablations — design choices:            BenchmarkAblation_* (the sparse
+//	                                       solver's is in internal/powerflow)
 package sgml_test
 
 import (
@@ -37,7 +38,6 @@ import (
 	"repro/internal/mms"
 	"repro/internal/netem"
 	"repro/internal/powerflow"
-	"repro/internal/powergrid"
 	"repro/internal/scl"
 	"repro/internal/sclmerge"
 	"repro/internal/sgmlconf"
@@ -1060,62 +1060,6 @@ func BenchmarkAblation_PowerFlowWarmStart(b *testing.B) {
 			}
 		}
 	})
-}
-
-func BenchmarkAblation_SparseSolver(b *testing.B) {
-	// The sparse-engine ablation: one warm-started power-flow step under
-	// load-profile churn (the 100 ms loop's workload), comparing
-	//   dense-rebuild  — the legacy path: topology rebuilt every step, dense
-	//                    O(n³) Gaussian elimination;
-	//   sparse-rebuild — sparse LU but still rebuilding topology per step;
-	//   sparse-warm    — the shipped path: persistent Solver whose topology
-	//                    cache reuses islands, Ybus and the symbolic
-	//                    factorization across steps.
-	// Loads are re-scaled every iteration so each step performs real NR
-	// iterations instead of short-circuiting on an already-converged state.
-	sizes := []struct {
-		name string
-		grid func(testing.TB) *powergrid.Network
-	}{
-		{"5x20", func(tb testing.TB) *powergrid.Network { return scaleGrid(tb, 5, 20) }},
-		{"10x50-XL", func(tb testing.TB) *powergrid.Network { return xlGrid(tb) }},
-	}
-	for _, size := range sizes {
-		b.Run(size.name, func(b *testing.B) {
-			grid := size.grid(b)
-			first, err := powerflow.Solve(grid, powerflow.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			runSeq := func(b *testing.B, sv *powerflow.Solver, method powerflow.Method) {
-				b.Helper()
-				last := first
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					scale := 0.95 + 0.01*float64(i%10)
-					for j := range grid.Loads {
-						grid.Loads[j].SetScaling(scale)
-					}
-					opts := powerflow.Options{Method: method, WarmStart: last}
-					var res *powerflow.Result
-					var err error
-					if sv != nil {
-						res, err = sv.Solve(grid, opts)
-					} else {
-						res, err = powerflow.Solve(grid, opts)
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
-					last = res
-				}
-			}
-			b.Run("dense-rebuild", func(b *testing.B) { runSeq(b, nil, powerflow.MethodDense) })
-			b.Run("sparse-rebuild", func(b *testing.B) { runSeq(b, nil, powerflow.MethodSparse) })
-			b.Run("sparse-warm", func(b *testing.B) { runSeq(b, powerflow.NewSolver(), powerflow.MethodSparse) })
-		})
-	}
 }
 
 func BenchmarkAblation_ZeroAllocDataPlane(b *testing.B) {

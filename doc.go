@@ -235,8 +235,8 @@
 // # Sparse warm-path power flow
 //
 // The coupled physical simulation (internal/powersim driving
-// internal/powerflow every interval) runs on a sparse Newton-Raphson engine
-// with a per-topology cache: as long as no breaker, switch or in-service
+// internal/powerflow every interval) runs on a sparse Newton-Raphson engine,
+// on every model size, with a per-topology cache: as long as no breaker, switch or in-service
 // state changed since the previous step, the solver reuses the island
 // assignment, CSR Ybus and the symbolic LU factorization and only refreshes
 // injections and numeric values. Topology changes (trips, outages, tap

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestCampaignForkDifferential is the differential fingerprint check behind
@@ -92,5 +93,68 @@ func TestCampaignEmptySeeds(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "empty seed list") {
 		t.Errorf("err %q does not explain the empty seed list", err)
+	}
+}
+
+// TestPowerSolverStats pins the warm-path accounting of a forked range: the
+// compiled root's prewarmed solver puts every solve of a fork on the cache
+// hit path, Start's initial solve included, and opening a breaker costs
+// exactly one topology rebuild.
+func TestPowerSolverStats(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		ms      func(*testing.T) *ModelSet
+		breaker string // closed, with no device command that would re-close it
+	}{
+		{"EPIC", epicModelSet, "CBMicro"},
+		{"5x20", func(t *testing.T) *ModelSet {
+			ms := scaleModelSet(t, 5, 20)
+			ms.PowerConfig.Steps = nil // no overloads, so no protection trips
+			return ms
+		}, "S1_CB1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root, err := Compile(tc.ms(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(root.Stop)
+			r, err := root.Fork()
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(r.Stop)
+			if err := r.Start(context.Background(), false); err != nil {
+				t.Fatal(err)
+			}
+			now := time.Unix(1700000000, 0)
+			step := func() {
+				t.Helper()
+				now = now.Add(r.Interval())
+				if err := r.StepAll(now); err != nil {
+					t.Fatal(err)
+				}
+			}
+			const k = 5
+			for i := 0; i < k; i++ {
+				step()
+			}
+			if hits, misses, fails := r.PowerSolverStats(); hits != k+1 || misses != 0 || fails != 0 {
+				t.Fatalf("after Start and %d steps: hits/misses/failures = %d/%d/%d, want %d/0/0", k, hits, misses, fails, k+1)
+			}
+
+			open := OpenBreaker(tc.breaker)
+			ev, err := EventSpec{Kind: open.Kind, Element: open.Element, Value: open.Value}.SimEvent()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Sim.Apply(ev); err != nil {
+				t.Fatal(err)
+			}
+			step()
+			if hits, misses, fails := r.PowerSolverStats(); hits != k+1 || misses != 1 || fails != 0 {
+				t.Fatalf("after opening %s: hits/misses/failures = %d/%d/%d, want %d/1/0", open.Element, hits, misses, fails, k+1)
+			}
+		})
 	}
 }

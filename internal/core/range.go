@@ -231,7 +231,7 @@ func buildArtifacts(ms *ModelSet) (*rangeArtifacts, *BuiltNetwork, error) {
 	// prewarm (e.g. a model that diverges at t=0) is not a compile error —
 	// the first Start reports it exactly as before, just without the warm
 	// cache.
-	a.simTmpl = powersim.New(grid, a.busTmpl, powersim.Options{Interval: a.interval, EnforceQLimits: true})
+	a.simTmpl = powersim.New(grid, a.busTmpl, powersim.Options{Interval: a.interval}, nil)
 	_ = a.simTmpl.Prewarm()
 
 	// Per-IED configurations (stage 5 inputs).
@@ -356,7 +356,7 @@ func (a *rangeArtifacts) instantiate(built *BuiltNetwork) (*CyberRange, error) {
 	// Stage 4: coupling cache + simulator with scenario events. The solver
 	// fork shares the template's read-only topology artifacts.
 	bus := a.busTmpl.Fork()
-	sim := powersim.NewWithSolver(a.grid, bus, powersim.Options{Interval: a.interval, EnforceQLimits: true}, a.simTmpl.ForkSolver())
+	sim := powersim.New(a.grid, bus, powersim.Options{Interval: a.interval}, a.simTmpl.ForkSolver())
 	if len(a.events) > 0 {
 		sim.Schedule(a.events...)
 	}

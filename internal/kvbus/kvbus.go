@@ -5,14 +5,13 @@
 // measurements (voltage, current, power) under well-known keys, IEDs read them;
 // IEDs write actuation commands (breaker open/close), the simulator reads them
 // at each step (§III-B). This package is the in-process equivalent: a
-// concurrent, versioned key-value store with the same read/write semantics,
-// plus watch support so tests and the SCADA layer can react to changes without
-// polling.
+// concurrent, versioned key-value store with the same read/write semantics.
+// Like the paper's cache it is polled: readers fetch the current value when
+// they step, and nothing is pushed to them.
 package kvbus
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -54,47 +53,22 @@ func (v Value) Int() (int64, error) {
 	return i, nil
 }
 
-// Update describes one observed write, delivered to watchers.
-type Update struct {
-	Key   string
-	Value Value
-}
-
 // Bus is the key-value cache. The zero value is not usable; call New.
 type Bus struct {
-	mu       sync.RWMutex
-	data     map[string]Value
-	watchers map[string][]chan Update // key -> subscriber channels; "" watches all
-	writes   uint64
-	reads    uint64
+	mu   sync.RWMutex
+	data map[string]Value
 }
 
 // New returns an empty bus.
 func New() *Bus {
-	return &Bus{
-		data:     make(map[string]Value),
-		watchers: make(map[string][]chan Update),
-	}
+	return &Bus{data: make(map[string]Value)}
 }
 
-// Set writes key = raw, bumping the key version and notifying watchers.
+// Set writes key = raw, bumping the key version.
 func (b *Bus) Set(key, raw string) {
 	b.mu.Lock()
-	v := Value{Raw: raw, Version: b.data[key].Version + 1}
-	b.data[key] = v
-	b.writes++
-	subs := make([]chan Update, 0, len(b.watchers[key])+len(b.watchers[""]))
-	subs = append(subs, b.watchers[key]...)
-	subs = append(subs, b.watchers[""]...)
+	b.data[key] = Value{Raw: raw, Version: b.data[key].Version + 1}
 	b.mu.Unlock()
-
-	u := Update{Key: key, Value: v}
-	for _, ch := range subs {
-		select {
-		case ch <- u:
-		default: // slow watcher: drop rather than block the simulation step
-		}
-	}
 }
 
 // SetFloat writes a float measurement with full precision.
@@ -114,10 +88,9 @@ func (b *Bus) SetInt(key string, v int64) { b.Set(key, strconv.FormatInt(v, 10))
 
 // Get reads a key. ok is false when the key has never been written.
 func (b *Bus) Get(key string) (Value, bool) {
-	b.mu.Lock()
-	b.reads++
+	b.mu.RLock()
 	v, ok := b.data[key]
-	b.mu.Unlock()
+	b.mu.RUnlock()
 	return v, ok
 }
 
@@ -147,27 +120,6 @@ func (b *Bus) GetBool(key string, def bool) bool {
 	return x
 }
 
-// Delete removes a key. Watchers are not notified of deletes.
-func (b *Bus) Delete(key string) {
-	b.mu.Lock()
-	delete(b.data, key)
-	b.mu.Unlock()
-}
-
-// Keys returns all keys with the given prefix, sorted.
-func (b *Bus) Keys(prefix string) []string {
-	b.mu.RLock()
-	out := make([]string, 0, len(b.data))
-	for k := range b.data {
-		if strings.HasPrefix(k, prefix) {
-			out = append(out, k)
-		}
-	}
-	b.mu.RUnlock()
-	sort.Strings(out)
-	return out
-}
-
 // Len returns the number of stored keys.
 func (b *Bus) Len() int {
 	b.mu.RLock()
@@ -175,38 +127,8 @@ func (b *Bus) Len() int {
 	return len(b.data)
 }
 
-// Watch subscribes to writes on key (or every key when key == "").
-// The returned cancel function must be called to release the subscription.
-// The channel has a small buffer; updates are dropped rather than blocking
-// writers, mirroring a cache poller that can miss intermediate values.
-func (b *Bus) Watch(key string) (<-chan Update, func()) {
-	ch := make(chan Update, 64)
-	b.mu.Lock()
-	b.watchers[key] = append(b.watchers[key], ch)
-	b.mu.Unlock()
-	cancel := func() {
-		b.mu.Lock()
-		subs := b.watchers[key]
-		for i, c := range subs {
-			if c == ch {
-				b.watchers[key] = append(subs[:i:i], subs[i+1:]...)
-				break
-			}
-		}
-		b.mu.Unlock()
-	}
-	return ch, cancel
-}
-
-// Stats reports cumulative read/write counters (used by the benches to show
-// coupling traffic volume).
-func (b *Bus) Stats() (reads, writes uint64) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.reads, b.writes
-}
-
-// Snapshot returns a copy of the whole store, for scenario checkpointing.
+// Snapshot returns a copy of the whole store's values, versions dropped: the
+// observable coupling state.
 func (b *Bus) Snapshot() map[string]string {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
@@ -218,13 +140,10 @@ func (b *Bus) Snapshot() map[string]string {
 }
 
 // Fork returns an independent bus pre-loaded with b's current contents,
-// versions included — unlike Snapshot/Restore, which flatten versions to 1,
-// a fork is byte- and version-identical to its parent at the fork point, so
-// version-sensitive readers (watch de-duplication, stale-read checks) behave
-// exactly as they would on the original. Watchers and read/write counters
-// are not inherited: a fork starts with no subscribers and zeroed stats.
-// The compiled-range fork path uses this to duplicate the coupling cache
-// per run without re-deriving its initial state.
+// versions included, so a fork is value- and version-identical to its parent
+// at the fork point. The compiled-range fork path uses this to duplicate the
+// coupling cache per run without re-deriving its initial state, and the
+// replay differentials compare versions as well as values.
 func (b *Bus) Fork() *Bus {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
@@ -233,16 +152,6 @@ func (b *Bus) Fork() *Bus {
 		nb.data[k] = v
 	}
 	return nb
-}
-
-// Restore replaces the store contents with snap (versions restart at 1).
-func (b *Bus) Restore(snap map[string]string) {
-	b.mu.Lock()
-	b.data = make(map[string]Value, len(snap))
-	for k, raw := range snap {
-		b.data[k] = Value{Raw: raw, Version: 1}
-	}
-	b.mu.Unlock()
 }
 
 // Well-known key builders shared by the simulator and the device layer. The

@@ -103,108 +103,23 @@ func TestVersionMonotonicProperty(t *testing.T) {
 	}
 }
 
-func TestWatchDeliversUpdates(t *testing.T) {
-	b := New()
-	ch, cancel := b.Watch("x")
-	defer cancel()
-	b.Set("x", "10")
-	b.Set("y", "ignored")
-	select {
-	case u := <-ch:
-		if u.Key != "x" || u.Value.Raw != "10" {
-			t.Errorf("update = %+v", u)
-		}
-	default:
-		t.Fatal("no update delivered")
-	}
-	select {
-	case u := <-ch:
-		t.Fatalf("unexpected extra update %+v", u)
-	default:
-	}
-}
-
-func TestWatchAllKeys(t *testing.T) {
-	b := New()
-	ch, cancel := b.Watch("")
-	defer cancel()
-	b.Set("a", "1")
-	b.Set("b", "2")
-	got := map[string]string{}
-	for i := 0; i < 2; i++ {
-		u := <-ch
-		got[u.Key] = u.Value.Raw
-	}
-	if got["a"] != "1" || got["b"] != "2" {
-		t.Errorf("got %v", got)
-	}
-}
-
-func TestWatchCancelStopsDelivery(t *testing.T) {
-	b := New()
-	ch, cancel := b.Watch("x")
-	cancel()
-	b.Set("x", "1")
-	select {
-	case u := <-ch:
-		t.Fatalf("update after cancel: %+v", u)
-	default:
-	}
-}
-
-func TestSlowWatcherDoesNotBlockWriter(t *testing.T) {
-	b := New()
-	_, cancel := b.Watch("x")
-	defer cancel()
-	// Overflow the 64-slot buffer; Set must never block.
-	for i := 0; i < 1000; i++ {
-		b.SetInt("x", int64(i))
-	}
-	v, _ := b.Get("x")
-	if v.Raw != "999" {
-		t.Errorf("final value = %q, want 999", v.Raw)
-	}
-}
-
-func TestKeysPrefixSorted(t *testing.T) {
-	b := New()
-	for _, k := range []string{"pw/s1/bus/b2/vm_pu", "pw/s1/bus/b1/vm_pu", "cmd/s1/cb/c1/close"} {
-		b.Set(k, "0")
-	}
-	got := b.Keys("pw/")
-	if len(got) != 2 || got[0] != "pw/s1/bus/b1/vm_pu" || got[1] != "pw/s1/bus/b2/vm_pu" {
-		t.Errorf("Keys(pw/) = %v", got)
-	}
-	if n := len(b.Keys("")); n != 3 {
-		t.Errorf("Keys(\"\") len = %d, want 3", n)
-	}
-}
-
-func TestDelete(t *testing.T) {
-	b := New()
-	b.Set("k", "v")
-	b.Delete("k")
-	if _, ok := b.Get("k"); ok {
-		t.Error("key survives Delete")
-	}
-	if b.Len() != 0 {
-		t.Errorf("Len = %d, want 0", b.Len())
-	}
-}
-
-func TestSnapshotRestore(t *testing.T) {
+func TestSnapshotAndFork(t *testing.T) {
 	b := New()
 	b.Set("a", "1")
+	b.Set("a", "1.5")
 	b.Set("b", "2")
-	snap := b.Snapshot()
+	f := b.Fork()
 	b.Set("a", "99")
-	b.Delete("b")
-	b.Restore(snap)
-	if got := b.GetFloat("a", -1); got != 1 {
-		t.Errorf("a = %v, want 1", got)
+	snap := f.Snapshot()
+	if len(snap) != 2 || snap["a"] != "1.5" || snap["b"] != "2" {
+		t.Errorf("fork snapshot = %v, want a=1.5 b=2 (writes after the fork stay on the parent)", snap)
 	}
+	if v, _ := f.Get("a"); v.Version != 2 {
+		t.Errorf("fork version of a = %d, want the parent's 2 at the fork point", v.Version)
+	}
+	f.Set("b", "3")
 	if got := b.GetFloat("b", -1); got != 2 {
-		t.Errorf("b = %v, want 2", got)
+		t.Errorf("parent b = %v after a fork write, want 2", got)
 	}
 }
 
@@ -220,17 +135,19 @@ func TestConcurrentAccess(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				b.SetInt(key, int64(i))
 				b.Get(key)
-				b.Keys("k")
 			}
 		}(w)
 	}
 	wg.Wait()
-	reads, writes := b.Stats()
-	if writes != workers*iters {
-		t.Errorf("writes = %d, want %d", writes, workers*iters)
+	// Every write bumps its key's version once, so no write was lost iff
+	// the versions sum to the number of writes.
+	var writes uint64
+	for k := range b.Snapshot() {
+		v, _ := b.Get(k)
+		writes += v.Version
 	}
-	if reads != workers*iters {
-		t.Errorf("reads = %d, want %d", reads, workers*iters)
+	if writes != workers*iters {
+		t.Errorf("versions sum to %d, want %d writes", writes, workers*iters)
 	}
 }
 

@@ -19,21 +19,14 @@
 //
 // # Sparse engine and the per-topology cache
 //
-// The solver has two linear-algebra paths:
-//
-//   - a sparse path (the default at scale): CSR Ybus and Jacobian, and a
-//     sparse LU with a fill-reducing minimum-degree ordering (lu.go). The
-//     Jacobian assembly plan and the LU symbolic factorization are computed
-//     once per topology and replayed with fresh values on every NR
-//     iteration.
-//   - a dense path (the reference implementation): row-major Jacobian and
-//     Gaussian elimination with partial pivoting (linalg.go). It is used for
-//     small systems, when Options.Method requests it, and as an automatic
-//     fallback if a statically-pivoted sparse factorization reports a
-//     singular pivot that partial pivoting might still survive.
-//
-// Options.Method selects the path; MethodAuto picks sparse once the NR
-// system reaches sparseMinUnknowns unknowns.
+// Newton-Raphson runs on one linear-algebra path: CSR Ybus and Jacobian, and
+// a sparse LU with a fill-reducing minimum-degree ordering (lu.go). The
+// Jacobian assembly plan and the LU symbolic factorization are computed once
+// per topology and bus-kind partition and replayed with fresh values on every
+// NR iteration. Dense Gaussian elimination with partial pivoting (linalg.go)
+// runs only as a fallback, when the statically-pivoted sparse factorization
+// reports a singular pivot that partial pivoting might still survive; the
+// differential tests also use it as their reference solve.
 //
 // A Solver (NewSolver) adds the warm-path topology cache the 100 ms loop
 // relies on. The first Solve validates the network and builds the fused-node

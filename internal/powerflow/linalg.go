@@ -14,9 +14,8 @@ var ErrSingular = errors.New("powerflow: singular matrix")
 // pivoting. A is row-major n×n; both A and b are destroyed. The returned slice
 // aliases b.
 //
-// This is the solver's dense reference path: small systems use it directly
-// (cache-friendly elimination beats a sparse setup there), and the sparse
-// engine falls back to it when static pivoting fails. The singularity test
+// The sparse engine falls back to it when static pivoting fails, and the
+// differential tests solve with it as their reference. The singularity test
 // is relative to the matrix norm (singularTol, shared with the sparse LU),
 // so a well-conditioned but uniformly small- or large-valued Jacobian is
 // judged by its conditioning, not its scale.

@@ -17,26 +17,6 @@ const Frequency = 50.0
 // ErrNotConverged is returned when NR fails to reach tolerance.
 var ErrNotConverged = errors.New("powerflow: did not converge")
 
-// Method selects the linear-algebra path of the NR inner loop.
-type Method int
-
-// Linear solver methods.
-const (
-	// MethodAuto picks sparse at or above sparseMinUnknowns unknowns.
-	MethodAuto Method = iota
-	// MethodDense forces the dense reference path (partial-pivot Gaussian
-	// elimination on a row-major Jacobian).
-	MethodDense
-	// MethodSparse forces the sparse path (CSR Jacobian, minimum-degree
-	// ordered sparse LU with cached symbolic factorization).
-	MethodSparse
-)
-
-// sparseMinUnknowns is the NR system size at which MethodAuto switches from
-// the dense reference path to the sparse engine. Below it the cache-friendly
-// dense elimination wins; above it the O(nnz) factorization does.
-const sparseMinUnknowns = 96
-
 // Options tunes the solver.
 type Options struct {
 	MaxIterations  int     // default 30
@@ -45,9 +25,11 @@ type Options struct {
 	// WarmStart, when non-nil, seeds bus voltages from a previous result
 	// (matched by bus name). Buses absent from the warm start use flat start.
 	WarmStart *Result
-	// Method selects the linear solver; the zero value (MethodAuto) picks by
-	// system size.
-	Method Method
+
+	// denseReference runs Newton-Raphson on the dense partial-pivot
+	// elimination instead of the sparse LU. Only the differential tests set
+	// it (export_test.go), to check the sparse engine against the reference.
+	denseReference bool
 }
 
 // BusResult holds per-bus solution values.
@@ -779,18 +761,6 @@ func (p *problem) calcPQ(i int) (float64, float64) {
 	return pc, qc
 }
 
-func (p *problem) methodFor(dim int) Method {
-	switch p.opts.Method {
-	case MethodDense, MethodSparse:
-		return p.opts.Method
-	default:
-		if dim >= sparseMinUnknowns {
-			return MethodSparse
-		}
-		return MethodDense
-	}
-}
-
 // kindsOf snapshots the current bus-kind partition (it changes under
 // Q-limit clamping, which invalidates the cached Jacobian symbolic state).
 func (p *problem) kindsOf() []busKind {
@@ -807,15 +777,14 @@ func (p *problem) kindsOf() []busKind {
 // kinds and a Q-limit-clamped variant does not thrash a single slot.
 func (p *problem) sparseState(angIdx, magIdx []int, angPos, magPos map[int]int) *sparseState {
 	kinds := p.kindsOf()
-	if c := p.cache; c != nil {
-		for i, st := range c.sparse {
-			if slices.Equal(st.kinds, kinds) {
-				if i != 0 { // move to front
-					copy(c.sparse[1:i+1], c.sparse[:i])
-					c.sparse[0] = st
-				}
-				return st
+	c := p.cache
+	for i, st := range c.sparse {
+		if slices.Equal(st.kinds, kinds) {
+			if i != 0 { // move to front
+				copy(c.sparse[1:i+1], c.sparse[:i])
+				c.sparse[0] = st
 			}
+			return st
 		}
 	}
 	plan := buildJacPlan(p.y, angIdx, magIdx, angPos, magPos)
@@ -828,11 +797,9 @@ func (p *problem) sparseState(angIdx, magIdx []int, angPos, magPos map[int]int) 
 		num:     newLUNumeric(sym),
 		jacVals: make([]float64, len(plan.colIdx)),
 	}
-	if c := p.cache; c != nil {
-		c.sparse = append([]*sparseState{st}, c.sparse...)
-		if len(c.sparse) > maxSparseStates {
-			c.sparse = c.sparse[:maxSparseStates]
-		}
+	c.sparse = append([]*sparseState{st}, c.sparse...)
+	if len(c.sparse) > maxSparseStates {
+		c.sparse = c.sparse[:maxSparseStates]
 	}
 	return st
 }
@@ -879,8 +846,9 @@ func (p *problem) assembleSparseJac(plan *jacPlan, vals []float64, pc, qc []floa
 	return maxAbs
 }
 
-// assembleDenseJac fills the row-major dense Jacobian (the reference path,
-// also the fallback when a statically-pivoted sparse factorization fails).
+// assembleDenseJac fills the row-major dense Jacobian for the fallback when a
+// statically-pivoted sparse factorization fails (and for the differential
+// tests' reference solve).
 func (p *problem) assembleDenseJac(jac []float64, dim int, angIdx []int, angPos, magPos map[int]int, pc, qc []float64) {
 	for i := range jac {
 		jac[i] = 0
@@ -965,10 +933,9 @@ func (p *problem) iterate(maxIter int, tolPU float64) (*Result, error) {
 		for j, i := range magIdx {
 			magPos[i] = na + j
 		}
-		method := p.methodFor(dim)
 		var sps *sparseState
 		var jac []float64 // dense buffer, lazily allocated
-		if method == MethodSparse {
+		if !p.opts.denseReference {
 			sps = p.sparseState(angIdx, magIdx, angPos, magPos)
 		}
 		rhs := make([]float64, dim)
@@ -1007,7 +974,7 @@ func (p *problem) iterate(maxIter int, tolPU float64) (*Result, error) {
 			}
 			var dx []float64
 			var err error
-			if method == MethodSparse {
+			if sps != nil {
 				maxAbs := p.assembleSparseJac(sps.plan, sps.jacVals, pc, qc)
 				if ferr := sps.num.factor(sps.sym, sps.plan.rowPtr, sps.plan.colIdx, sps.jacVals, maxAbs); ferr == nil {
 					sps.num.solve(sps.sym, rhs)

@@ -159,15 +159,12 @@ func TestSolveDenseRelativeThreshold(t *testing.T) {
 	})
 }
 
-// solveBoth runs the same network through the forced dense and forced sparse
-// paths and asserts the solutions agree.
+// solveBoth runs the same network through the dense reference and the
+// sparse engine and asserts the solutions agree.
 func solveBoth(t *testing.T, n *powergrid.Network, opts Options) (*Result, *Result) {
 	t.Helper()
-	dOpts, sOpts := opts, opts
-	dOpts.Method = MethodDense
-	sOpts.Method = MethodSparse
-	dres, derr := Solve(n, dOpts)
-	sres, serr := Solve(n, sOpts)
+	dres, derr := Solve(n, DenseReference(opts))
+	sres, serr := Solve(n, opts)
 	if (derr == nil) != (serr == nil) {
 		t.Fatalf("method disagreement: dense err %v, sparse err %v", derr, serr)
 	}
@@ -432,7 +429,7 @@ func TestSparseStateCachedPerKindPartition(t *testing.T) {
 	n.Loads = append(n.Loads, powergrid.Load{Name: "ld", Bus: "B", PMW: 30, QMVAr: 10, Scaling: 1, InService: true})
 
 	sv := NewSolver()
-	opts := Options{Method: MethodSparse, EnforceQLimits: true}
+	opts := Options{EnforceQLimits: true}
 	if _, err := sv.Solve(n, opts); err != nil {
 		t.Fatal(err)
 	}

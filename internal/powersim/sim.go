@@ -7,7 +7,8 @@
 // range's step engine runs the loop itself): a Simulator owns a
 // powergrid.Network, applies scheduled scenario events and breaker commands
 // read from the kv bus, solves the flow (warm-started from the previous
-// step), and publishes measurements back onto the bus for the IEDs to read.
+// step, generator reactive limits enforced), and publishes measurements back
+// onto the bus for the IEDs to read.
 package powersim
 
 import (
@@ -50,11 +51,7 @@ var ErrUnknownElement = errors.New("powersim: unknown element")
 
 // Options configures a Simulator.
 type Options struct {
-	Interval       time.Duration // solve period; default 100 ms (paper §III-C)
-	EnforceQLimits bool
-	// DisableWarmStart forces a flat start every step (used by the ablation
-	// bench; the paper's loop implicitly warm-starts by reusing the model).
-	DisableWarmStart bool
+	Interval time.Duration // solve period; default 100 ms (paper §III-C)
 }
 
 // Simulator steps a network and mirrors state onto a kv bus.
@@ -76,19 +73,13 @@ type Simulator struct {
 // New clones the network and returns a ready simulator. The bus may be shared
 // with virtual IEDs, the PLC layer and the SCADA HMI. The simulator owns a
 // powerflow.Solver, so consecutive steps with unchanged breaker/switch
-// topology stay on the solver's cached warm path.
-func New(net *powergrid.Network, bus *kvbus.Bus, opts Options) *Simulator {
-	return NewWithSolver(net, bus, opts, nil)
-}
-
-// NewWithSolver is New with a caller-supplied solver (nil falls back to a
-// fresh one). The compiled-range fork path passes a powerflow.Solver.Fork of
-// a prewarmed template here, so the simulator's first solve reuses the
-// model's cached topology and symbolic factorization instead of rebuilding
-// them. The solver must be private to this simulator (a Fork, not the shared
-// template itself): Step serialises on the simulator mutex, not across
-// simulators.
-func NewWithSolver(net *powergrid.Network, bus *kvbus.Bus, opts Options, solver *powerflow.Solver) *Simulator {
+// topology stay on the solver's cached warm path. A nil solver means a fresh
+// one; the compiled-range fork path passes a powerflow.Solver.Fork of a
+// prewarmed template instead, so the first solve reuses the model's cached
+// topology and symbolic factorization. The solver must be private to this
+// simulator (a Fork, not the shared template itself): Step serialises on the
+// simulator mutex, not across simulators.
+func New(net *powergrid.Network, bus *kvbus.Bus, opts Options, solver *powerflow.Solver) *Simulator {
 	if opts.Interval <= 0 {
 		opts.Interval = 100 * time.Millisecond
 	}
@@ -108,7 +99,7 @@ func NewWithSolver(net *powergrid.Network, bus *kvbus.Bus, opts Options, solver 
 func (s *Simulator) Prewarm() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, err := s.solver.Solve(s.net, powerflow.Options{EnforceQLimits: s.opts.EnforceQLimits})
+	_, err := s.solver.Solve(s.net, powerflow.Options{EnforceQLimits: true})
 	return err
 }
 
@@ -198,34 +189,16 @@ func (s *Simulator) Step() (*powerflow.Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.simTime += s.opts.Interval
-	return s.stepLocked(s.simTime)
-}
-
-// StepAt solves at an explicit simulation time (monotonically increasing).
-func (s *Simulator) StepAt(t time.Duration) (*powerflow.Result, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t > s.simTime {
-		s.simTime = t
-	}
-	return s.stepLocked(s.simTime)
-}
-
-func (s *Simulator) stepLocked(now time.Duration) (*powerflow.Result, error) {
-	if err := s.applyEventsLocked(now); err != nil {
+	if err := s.applyEventsLocked(s.simTime); err != nil {
 		return nil, err
 	}
 	s.applyCommandsLocked()
 
-	opts := powerflow.Options{EnforceQLimits: s.opts.EnforceQLimits}
-	if !s.opts.DisableWarmStart {
-		opts.WarmStart = s.last
-	}
 	start := time.Now()
-	res, err := s.solver.Solve(s.net, opts)
+	res, err := s.solver.Solve(s.net, powerflow.Options{EnforceQLimits: true, WarmStart: s.last})
 	if err != nil {
 		s.failures++
-		return res, fmt.Errorf("powersim: step at %v: %w", now, err)
+		return res, fmt.Errorf("powersim: step at %v: %w", s.simTime, err)
 	}
 	s.solveNS += time.Since(start).Nanoseconds()
 	s.steps++

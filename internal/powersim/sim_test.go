@@ -25,7 +25,7 @@ func testNet() *powergrid.Network {
 
 func TestStepPublishesMeasurements(t *testing.T) {
 	bus := kvbus.New()
-	sim := New(testNet(), bus, Options{})
+	sim := New(testNet(), bus, Options{}, nil)
 	res, err := sim.Step()
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +50,7 @@ func TestStepPublishesMeasurements(t *testing.T) {
 
 func TestBreakerCommandTakesEffect(t *testing.T) {
 	bus := kvbus.New()
-	sim := New(testNet(), bus, Options{})
+	sim := New(testNet(), bus, Options{}, nil)
 	if _, err := sim.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestBreakerCommandTakesEffect(t *testing.T) {
 
 func TestScheduledLoadProfile(t *testing.T) {
 	bus := kvbus.New()
-	sim := New(testNet(), bus, Options{Interval: 100 * time.Millisecond})
+	sim := New(testNet(), bus, Options{Interval: 100 * time.Millisecond}, nil)
 	sim.Schedule(
 		Event{At: 0, Kind: SetLoadScale, Element: "LD1", Value: 0.5},
 		Event{At: 300 * time.Millisecond, Kind: SetLoadScale, Element: "LD1", Value: 1.5},
@@ -111,7 +111,7 @@ func TestScheduledLoadProfile(t *testing.T) {
 
 func TestContingencyEvents(t *testing.T) {
 	bus := kvbus.New()
-	sim := New(testNet(), bus, Options{Interval: time.Second})
+	sim := New(testNet(), bus, Options{Interval: time.Second}, nil)
 	sim.Schedule(Event{At: 2 * time.Second, Kind: SetLineService, Element: "L1", Value: 0})
 	r, err := sim.Step() // t=1s
 	if err != nil {
@@ -144,7 +144,7 @@ func TestEventErrors(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			sim := New(testNet(), kvbus.New(), Options{})
+			sim := New(testNet(), kvbus.New(), Options{}, nil)
 			sim.Schedule(tt.ev)
 			if _, err := sim.Step(); !errors.Is(err, ErrUnknownElement) && tt.ev.Kind != 0 {
 				t.Errorf("Step() err = %v, want ErrUnknownElement", err)
@@ -156,7 +156,7 @@ func TestEventErrors(t *testing.T) {
 }
 
 func TestSimTimeAndStats(t *testing.T) {
-	sim := New(testNet(), kvbus.New(), Options{Interval: 50 * time.Millisecond})
+	sim := New(testNet(), kvbus.New(), Options{Interval: 50 * time.Millisecond}, nil)
 	for i := 0; i < 4; i++ {
 		if _, err := sim.Step(); err != nil {
 			t.Fatal(err)
@@ -179,7 +179,7 @@ func TestSimTimeAndStats(t *testing.T) {
 
 func TestStatsExcludeFailedSolves(t *testing.T) {
 	bus := kvbus.New()
-	sim := New(testNet(), bus, Options{Interval: 100 * time.Millisecond})
+	sim := New(testNet(), bus, Options{Interval: 100 * time.Millisecond}, nil)
 	for i := 0; i < 3; i++ {
 		if _, err := sim.Step(); err != nil {
 			t.Fatal(err)
@@ -218,7 +218,7 @@ func TestStatsExcludeFailedSolves(t *testing.T) {
 
 func TestLoadScaleZeroEventRemovesLoad(t *testing.T) {
 	bus := kvbus.New()
-	sim := New(testNet(), bus, Options{Interval: 100 * time.Millisecond})
+	sim := New(testNet(), bus, Options{Interval: 100 * time.Millisecond}, nil)
 	sim.Schedule(Event{At: 0, Kind: SetLoadScale, Element: "LD1", Value: 0})
 	res, err := sim.Step()
 	if err != nil {
@@ -238,7 +238,7 @@ func TestLoadScaleZeroEventRemovesLoad(t *testing.T) {
 
 func TestWarmStepsStayOnSolverCache(t *testing.T) {
 	bus := kvbus.New()
-	sim := New(testNet(), bus, Options{Interval: 100 * time.Millisecond})
+	sim := New(testNet(), bus, Options{Interval: 100 * time.Millisecond}, nil)
 	sim.Schedule(
 		Event{At: 100 * time.Millisecond, Kind: SetLoadScale, Element: "LD1", Value: 0.8},
 		Event{At: 200 * time.Millisecond, Kind: SetLoadScale, Element: "LD1", Value: 1.2},
@@ -260,23 +260,10 @@ func TestWarmStepsStayOnSolverCache(t *testing.T) {
 	}
 }
 
-func TestStepAtMonotonic(t *testing.T) {
-	sim := New(testNet(), kvbus.New(), Options{})
-	if _, err := sim.StepAt(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.StepAt(500 * time.Millisecond); err != nil { // not rewound
-		t.Fatal(err)
-	}
-	if got := sim.SimTime(); got != time.Second {
-		t.Errorf("SimTime = %v, want 1s (no rewind)", got)
-	}
-}
-
 func TestSimulatorDoesNotMutateInput(t *testing.T) {
 	n := testNet()
 	bus := kvbus.New()
-	sim := New(n, bus, Options{})
+	sim := New(n, bus, Options{}, nil)
 	bus.SetBool(kvbus.BreakerCmdKey("sub1", "CB1"), false)
 	if _, err := sim.Step(); err != nil {
 		t.Fatal(err)

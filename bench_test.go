@@ -1,5 +1,5 @@
 // Benchmark harness regenerating every table and figure of the paper's
-// evaluation (see DESIGN.md experiment index and EXPERIMENTS.md results):
+// evaluation (README's "Performance" section records the results):
 //
 //	Table I   — SCL file types:            BenchmarkTableI_*
 //	Table II  — protection functions:      BenchmarkTableII_* / TestTableII_*
@@ -1027,7 +1027,7 @@ func BenchmarkScale_CampaignThroughput(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations — design choices called out in DESIGN.md
+// Ablations — one design choice each, against its alternative
 // ---------------------------------------------------------------------------
 
 func BenchmarkAblation_PowerFlowWarmStart(b *testing.B) {

@@ -16,9 +16,10 @@ import (
 // aggregated report. See the package doc's "Campaigns" section for the model;
 // internal/core/campaign.go holds the engine.
 type (
-	// Campaign is a declarative sweep — scenario variants × seed lists ×
-	// engine/data-plane toggles — executed concurrently on a bounded worker
-	// pool, one isolated CyberRange per run.
+	// Campaign is a declarative sweep — scenario variants × seed lists —
+	// executed concurrently on a bounded worker pool, one isolated
+	// CyberRange per run. The retired engine and data-plane toggle
+	// attributes are parsed and ignored.
 	Campaign = core.Campaign
 	// CampaignVariant is one cell of the sweep matrix.
 	CampaignVariant = core.CampaignVariant

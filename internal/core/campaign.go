@@ -16,10 +16,10 @@ var ErrCampaign = errors.New("core: invalid campaign")
 
 // Campaign is a declarative sweep over scenario runs: the population form of
 // the single (model, scenario, seed) experiment RunScenario executes. Each
-// variant pairs a scenario with a seed list and the engine/data-plane toggles
-// to run it under; RunCampaign expands the cross product into individual runs
-// and executes them concurrently on a bounded worker pool, one isolated
-// CyberRange per run.
+// variant pairs a scenario with a seed list (the retired engine and
+// data-plane toggle attributes are parsed and ignored); RunCampaign expands
+// the cross product into individual runs and executes them concurrently on a
+// bounded worker pool, one isolated CyberRange per run.
 //
 // Each distinct model is compiled once into a root range whose immutable
 // artifacts (parsed SCL, power-model template, device configs, prewarmed

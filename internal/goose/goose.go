@@ -6,8 +6,11 @@
 // IEDs as multicast Ethernet frames with EtherType 0x88B8. Publishers
 // retransmit each state with an increasing interval and bump stNum on state
 // changes / sqNum on retransmissions, exactly the semantics interlocking
-// (CILO, Table II) depends on. R-GOOSE wraps the same PDU in UDP for
-// inter-substation delivery through the WAN (SED gateways).
+// (CILO, Table II) depends on. R-GOOSE (IEC TR 61850-90-5) carries the same
+// PDU, with the same retransmission behaviour, in UDP for inter-substation
+// delivery through the WAN (SED gateways): one Publisher and one Subscriber
+// type serve both transports. The emulated WAN has no IP multicast, so
+// R-GOOSE unicasts to the configured peer gateways (README, "Substitutions").
 package goose
 
 import (
@@ -281,14 +284,19 @@ type PublisherConfig struct {
 	FixedInterval time.Duration
 }
 
-// Publisher periodically multicasts the current dataset state.
+// Publisher periodically sends the current dataset state: as L2 multicast
+// frames, or (R-GOOSE) as UDP datagrams to each peer gateway.
 type Publisher struct {
 	cfg  PublisherConfig
 	host *netem.Host
 	mac  netem.MAC
+	// R-GOOSE transport; a nil sock selects L2 multicast.
+	sock  *netem.UDPSocket
+	peers []netem.IPv4
 
 	mu      sync.Mutex
 	values  []mms.Value
+	scratch []byte // R-GOOSE marshal buffer; SendTo copies, so reuse is safe
 	stNum   uint32
 	sqNum   uint32
 	retrans int
@@ -298,12 +306,25 @@ type Publisher struct {
 	now     func() time.Time
 }
 
-// NewPublisher creates a publisher bound to a host NIC.
+// NewPublisher creates a publisher multicasting on a host NIC.
 func NewPublisher(h *netem.Host, cfg PublisherConfig) *Publisher {
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = time.Second
 	}
 	return &Publisher{cfg: cfg, host: h, mac: netem.GooseMAC(cfg.AppID), now: time.Now}
+}
+
+// NewRPublisher creates an R-GOOSE publisher: it binds an ephemeral UDP
+// socket on the host and sends every transmission to each peer's
+// RGoosePort.
+func NewRPublisher(h *netem.Host, cfg PublisherConfig, peers []netem.IPv4) (*Publisher, error) {
+	sock, err := h.BindUDP(0)
+	if err != nil {
+		return nil, err
+	}
+	p := NewPublisher(h, cfg)
+	p.sock, p.peers = sock, append([]netem.IPv4(nil), peers...)
+	return p, nil
 }
 
 // Publish announces a new dataset state: stNum increments, sqNum resets, and
@@ -324,7 +345,7 @@ func (p *Publisher) Publish(values ...mms.Value) {
 	p.mu.Unlock()
 }
 
-// Stop halts retransmission.
+// Stop halts retransmission and closes an R-GOOSE publisher's socket.
 func (p *Publisher) Stop() {
 	p.mu.Lock()
 	p.stopped = true
@@ -332,9 +353,13 @@ func (p *Publisher) Stop() {
 		p.timer.Stop()
 	}
 	p.mu.Unlock()
+	if p.sock != nil {
+		p.sock.Close()
+	}
 }
 
-// Sent reports frames transmitted (including retransmissions).
+// Sent reports frames transmitted (including retransmissions); an R-GOOSE
+// publisher counts one per peer datagram.
 func (p *Publisher) Sent() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -361,13 +386,23 @@ func (p *Publisher) sendLocked() {
 		ConfRev:   p.cfg.ConfRev,
 		Values:    p.values,
 	}
-	// Marshal into a fabric-pooled buffer and hand ownership to the fabric;
-	// the terminal deliverer releases it (zero-allocation warm path).
-	pb := p.host.AllocPayload()
-	pb.B = MarshalAppend(pb.B, p.cfg.AppID, msg)
-	p.host.SendPooled(p.mac, netem.EtherTypeGOOSE, pb)
-	p.sent++
 	p.sqNum++
+	if p.sock == nil {
+		// Marshal into a fabric-pooled buffer and hand ownership to the
+		// fabric; the terminal deliverer releases it (zero-allocation warm
+		// path).
+		pb := p.host.AllocPayload()
+		pb.B = MarshalAppend(pb.B, p.cfg.AppID, msg)
+		p.host.SendPooled(p.mac, netem.EtherTypeGOOSE, pb)
+		p.sent++
+		return
+	}
+	p.scratch = MarshalAppend(p.scratch[:0], p.cfg.AppID, msg)
+	for _, peer := range p.peers {
+		if p.sock.SendTo(peer, RGoosePort, p.scratch) == nil {
+			p.sent++
+		}
+	}
 }
 
 func (p *Publisher) nextDelayLocked() time.Duration {
@@ -408,22 +443,29 @@ type Update struct {
 	NewState bool
 }
 
-// Subscriber receives GOOSE messages for one APPID group.
+// Subscriber receives GOOSE messages for one APPID group, from L2 frames or
+// (R-GOOSE) from UDP datagrams.
 type Subscriber struct {
 	mu       sync.Mutex
 	lastSt   map[string]uint32 // gocbRef -> last stNum
 	received uint64
 	dropped  uint64
 	ch       chan Update
+	// R-GOOSE only: the bound socket and the pump decoding from it.
+	sock *netem.UDPSocket
+	done chan struct{}
+}
+
+func newSubscriber() *Subscriber {
+	return &Subscriber{lastSt: make(map[string]uint32), ch: make(chan Update, 256)}
 }
 
 // Subscribe joins the multicast group for appID on the host and returns the
 // subscriber. The returned channel yields every received message; NewState
 // distinguishes fresh states from retransmissions.
 func Subscribe(h *netem.Host, appID uint16) *Subscriber {
-	s := &Subscriber{lastSt: make(map[string]uint32), ch: make(chan Update, 256)}
-	mac := netem.GooseMAC(appID)
-	h.JoinMulticast(mac)
+	s := newSubscriber()
+	h.JoinMulticast(netem.GooseMAC(appID))
 	// The handler runs on the host's single worker goroutine, so the arena
 	// decoder needs no locking. The decoded Message copies everything it
 	// keeps, honouring the fabric's pooled-payload ownership rules.
@@ -437,6 +479,37 @@ func Subscribe(h *netem.Host, appID uint16) *Subscriber {
 		s.deliver(gotID, msg)
 	})
 	return s
+}
+
+// SubscribeR binds the R-GOOSE port on the host and decodes the datagrams
+// for appID on a pump goroutine that Close stops.
+func SubscribeR(h *netem.Host, appID uint16) (*Subscriber, error) {
+	sock, err := h.BindUDP(RGoosePort)
+	if err != nil {
+		return nil, err
+	}
+	s := newSubscriber()
+	s.sock, s.done = sock, make(chan struct{})
+	go func() {
+		defer close(s.done)
+		dec := NewDecoder() // arena + interning reused on this goroutine
+		for m := range sock.Recv() {
+			gotID, msg, err := dec.Unmarshal(m.Data)
+			if err == nil && gotID == appID {
+				s.deliver(gotID, msg)
+			}
+		}
+	}()
+	return s, nil
+}
+
+// Close releases an R-GOOSE subscriber's socket and waits for its pump to
+// finish. It is a no-op for an L2 subscriber.
+func (s *Subscriber) Close() {
+	if s.sock != nil {
+		s.sock.Close()
+		<-s.done
+	}
 }
 
 func (s *Subscriber) deliver(appID uint16, msg Message) {

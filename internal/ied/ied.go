@@ -119,8 +119,8 @@ type IED struct {
 
 	gpub *goose.Publisher
 	gsub *goose.Subscriber
-	rpub *sv.RPublisher
-	rsub *sv.RSubscriber
+	rpub *sv.Publisher
+	rsub *sv.Subscriber
 
 	mu                     sync.Mutex
 	breakers               []string // controlled breaker element names

@@ -11,7 +11,8 @@
 // this same client, exactly as IEC61850bean does on the original range.
 //
 // The OSI lower layers (TPKT/COTP/session/presentation) are collapsed into a
-// 4-byte TPKT-style framing header; DESIGN.md records this substitution.
+// 4-byte TPKT-style framing header; README, "Substitutions", records this
+// substitution.
 package mms
 
 import (

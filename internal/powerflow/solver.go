@@ -110,6 +110,7 @@ type node struct {
 	qMin    float64 // aggregate gen Q limits, pu
 	qMax    float64
 	hasQLim bool
+	qClamp  float64 // limit a Q-clamped PV node's qSpec includes, pu
 	island  int
 }
 
@@ -658,6 +659,7 @@ func (c *topoCache) instantiate(n *powergrid.Network, opts Options) *problem {
 		nd.vaBase = 0
 		nd.qMin, nd.qMax = math.Inf(-1), math.Inf(1)
 		nd.hasQLim = false
+		nd.qClamp = 0
 	}
 
 	base := n.BaseMVA
@@ -1027,10 +1029,12 @@ func (p *problem) clampQViolations() bool {
 		switch {
 		case qGen > nd.qMax:
 			nd.kind = busPQ
+			nd.qClamp = nd.qMax
 			nd.qSpec += nd.qMax
 			changed = true
 		case qGen < nd.qMin:
 			nd.kind = busPQ
+			nd.qClamp = nd.qMin
 			nd.qSpec += nd.qMin
 			changed = true
 		}
@@ -1133,7 +1137,9 @@ func (p *problem) buildResult(converged bool, iters int) *Result {
 		}
 		_, qc := p.calcPQ(ni)
 		nd := p.nodes[ni]
-		res.GenQMVAr[g.Name] = (qc - nd.qSpec) * base
+		// The machine supplies what the node injects beyond its loads and
+		// sgens; a clamped node's qSpec also holds the machine's limit.
+		res.GenQMVAr[g.Name] = (qc - nd.qSpec + nd.qClamp) * base
 	}
 	return res
 }

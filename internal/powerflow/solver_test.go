@@ -294,6 +294,43 @@ func TestQLimitEnforcement(t *testing.T) {
 	}
 }
 
+func TestClampedGenReportsQLimit(t *testing.T) {
+	// A Q-starved generator at B is clamped at its MaxQMVAr; the one at C has
+	// room and stays voltage-controlled.
+	n := powergrid.New("qclamp")
+	n.AddBus("A", 110, "s")
+	n.AddBus("B", 110, "s")
+	n.AddBus("C", 110, "s")
+	n.Externals = append(n.Externals, powergrid.ExternalGrid{Name: "g", Bus: "A", VmPU: 1.0})
+	n.Lines = append(n.Lines,
+		powergrid.Line{Name: "LB", FromBus: "A", ToBus: "B", LengthKM: 20, ROhmPerKM: 0.06, XOhmPerKM: 0.4, InService: true},
+		powergrid.Line{Name: "LC", FromBus: "A", ToBus: "C", LengthKM: 20, ROhmPerKM: 0.06, XOhmPerKM: 0.4, InService: true})
+	n.Gens = append(n.Gens,
+		powergrid.Generator{Name: "clamped", Bus: "B", PMW: 0, VmPU: 1.05, MinQMVAr: -1, MaxQMVAr: 1, InService: true},
+		powergrid.Generator{Name: "free", Bus: "C", PMW: 5, VmPU: 1.01, MinQMVAr: -100, MaxQMVAr: 100, InService: true})
+	n.Loads = append(n.Loads,
+		powergrid.Load{Name: "ldB", Bus: "B", PMW: 30, QMVAr: 10, Scaling: 1, InService: true},
+		powergrid.Load{Name: "ldC", Bus: "C", PMW: 10, QMVAr: 4, Scaling: 1, InService: true})
+
+	res, err := Solve(n, Options{EnforceQLimits: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vm := res.Buses["B"].VmPU; vm >= 1.05-1e-9 {
+		t.Fatalf("bus B vm = %v: the generator was not clamped", vm)
+	}
+	if q := res.GenQMVAr["clamped"]; math.Abs(q-1) > 1e-6 {
+		t.Errorf("clamped generator Q = %v MVAr, want its 1 MVAr limit", q)
+	}
+	if vm := res.Buses["C"].VmPU; math.Abs(vm-1.01) > 1e-6 {
+		t.Fatalf("bus C vm = %v: the free generator lost voltage control", vm)
+	}
+	// An unclamped generator supplies the bus's net Q injection plus its load.
+	if q, want := res.GenQMVAr["free"], res.Buses["C"].QMVAr+4; math.Abs(q-want) > 1e-9 {
+		t.Errorf("free generator Q = %v MVAr, want %v", q, want)
+	}
+}
+
 func TestWarmStartConvergesFaster(t *testing.T) {
 	n := twoBus()
 	n.Loads[0].PMW = 45

@@ -6,7 +6,7 @@
 // transformers, generators, static loads, shunts, external-grid (slack)
 // connections and switchable circuit breakers. The element and result naming
 // deliberately mirrors Pandapower (vm_pu, va_degree, p_mw, q_mvar, i_ka,
-// loading_percent) so EXPERIMENTS.md reads like the paper's artefacts.
+// loading_percent) so results read like the paper's artefacts.
 package powergrid
 
 import (

@@ -15,8 +15,9 @@
 // SSD/SCD/ICD share the <SCL> root element per IEC 61850-6; this package
 // models the subset of the schema the SG-ML Processor needs and detects the
 // file kind from content. SED is modelled as the pragmatic schema described
-// in DESIGN.md (a dedicated <SED> root listing substation ties), since the
-// paper only uses it as "connectivity between a pair of substations".
+// in README, "Substitutions" (a dedicated <SED> root listing substation
+// ties), since the paper only uses it as "connectivity between a pair of
+// substations".
 package scl
 
 import (
@@ -125,7 +126,7 @@ type Bay struct {
 // Equipment type codes used by the SG-ML profile. CBR/DIS/GEN/CAP/BAT are
 // standard IEC 61850-6 codes; LIN (line segment), LOD (load), PVS
 // (photovoltaic source) and GRI (external grid connection) are the SG-ML
-// profile extensions documented in DESIGN.md.
+// profile extensions documented in README, "Substitutions".
 const (
 	TypeBreaker      = "CBR"
 	TypeDisconnector = "DIS"

@@ -19,8 +19,8 @@
 //     impairments, attack steps, IDS deployment), executed headlessly by
 //     "rangectl scenario run";
 //   - Campaign XML (campaign.go) — the sweep form: scenario variants × seed
-//     ranges × engine/data-plane toggles, executed concurrently by
-//     "rangectl campaign run".
+//     ranges, executed concurrently by "rangectl campaign run"; the retired
+//     engine/data-plane toggle attributes are parsed and ignored.
 //
 // There is also the PLC mapping config (plcconfig.go) binding PLC variables
 // to IED data references and Modbus registers.

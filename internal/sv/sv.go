@@ -2,15 +2,16 @@
 // routable R-SV variant, substituting libiec61850's SV layer (§III-B).
 //
 // SV streams power-grid measurements (phase currents and voltages) between
-// merging units and IEDs at a fixed rate. In the cyber range R-SV carries
-// measurements between substations for differential protection (PDIF,
-// Table II): each gateway IED streams its local line current to the remote
-// end, which compares the two. Frames use EtherType 0x88BA on the LAN and
-// UDP datagrams across the WAN.
+// merging units and IEDs. In the cyber range R-SV carries measurements
+// between substations for differential protection (PDIF, Table II): each
+// gateway IED streams its local line current to the remote end, which
+// compares the two. Frames use EtherType 0x88BA on the LAN and UDP datagrams
+// across the WAN; one Publisher and one Subscriber type serve both
+// transports. Streams are step-driven: the owner calls PublishNow once per
+// sample, so the range's step clock sets the sampling rate.
 package sv
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -172,58 +173,47 @@ type PublisherConfig struct {
 	SvID    string
 	AppID   uint16
 	ConfRev uint32
-	Rate    time.Duration // sampling period; default 10 ms
 }
 
-// Publisher streams samples as L2 multicast frames.
+// Publisher sends samples as L2 multicast frames or (R-SV) as UDP datagrams
+// to each peer gateway.
 type Publisher struct {
 	cfg  PublisherConfig
 	host *netem.Host
 	src  SourceFunc
+	// R-SV transport; a nil sock selects L2 multicast.
+	sock  *netem.UDPSocket
+	peers []netem.IPv4
 
-	mu     sync.Mutex
-	smpCnt uint16
-	sent   uint64
-	cancel context.CancelFunc
-	done   chan struct{}
+	mu      sync.Mutex
+	smpCnt  uint16
+	sent    uint64
+	scratch []byte // R-SV marshal buffer; SendTo copies, so reuse is safe
 }
 
-// NewPublisher creates an SV publisher on a host NIC.
+// NewPublisher creates an SV publisher multicasting on a host NIC.
 func NewPublisher(h *netem.Host, cfg PublisherConfig, src SourceFunc) *Publisher {
-	if cfg.Rate <= 0 {
-		cfg.Rate = 10 * time.Millisecond
-	}
 	return &Publisher{cfg: cfg, host: h, src: src}
 }
 
-// Start begins streaming until Stop is called.
-func (p *Publisher) Start() {
-	ctx, cancel := context.WithCancel(context.Background())
-	p.mu.Lock()
-	p.cancel = cancel
-	p.done = make(chan struct{})
-	done := p.done
-	p.mu.Unlock()
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(p.cfg.Rate)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-ticker.C:
-				p.publishOnce()
-			}
-		}
-	}()
+// NewRPublisher creates an R-SV publisher: it binds an ephemeral UDP socket
+// on the host and sends every sample to each peer's RSVPort. The emulated
+// WAN has no IP multicast, so R-SV unicasts (README, "Substitutions").
+func NewRPublisher(h *netem.Host, cfg PublisherConfig, peers []netem.IPv4, src SourceFunc) (*Publisher, error) {
+	sock, err := h.BindUDP(0)
+	if err != nil {
+		return nil, err
+	}
+	p := NewPublisher(h, cfg, src)
+	p.sock, p.peers = sock, append([]netem.IPv4(nil), peers...)
+	return p, nil
 }
 
-// publishOnce transmits a single sample (exported for step-driven tests via
-// PublishNow).
-func (p *Publisher) publishOnce() {
+// PublishNow transmits one sample of the source's current values.
+func (p *Publisher) PublishNow() {
 	values := p.src()
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	s := Sample{
 		SvID:    p.cfg.SvID,
 		SmpCnt:  p.smpCnt,
@@ -232,39 +222,41 @@ func (p *Publisher) publishOnce() {
 		RefrTm:  time.Now(),
 	}
 	p.smpCnt++
-	p.sent++
-	p.mu.Unlock()
-	// Marshal into a fabric-pooled buffer; the terminal deliverer releases
-	// it (zero-allocation warm path for kHz-rate streams).
-	pb := p.host.AllocPayload()
-	pb.B = MarshalAppend(pb.B, p.cfg.AppID, s)
-	p.host.SendPooled(netem.SVMAC(p.cfg.AppID), netem.EtherTypeSV, pb)
-}
-
-// PublishNow transmits one sample immediately (step-driven mode).
-func (p *Publisher) PublishNow() { p.publishOnce() }
-
-// Stop halts the stream.
-func (p *Publisher) Stop() {
-	p.mu.Lock()
-	cancel := p.cancel
-	done := p.done
-	p.cancel = nil
-	p.mu.Unlock()
-	if cancel != nil {
-		cancel()
-		<-done
+	if p.sock == nil {
+		// Marshal into a fabric-pooled buffer; the terminal deliverer
+		// releases it (zero-allocation warm path for kHz-rate streams).
+		pb := p.host.AllocPayload()
+		pb.B = MarshalAppend(pb.B, p.cfg.AppID, s)
+		p.host.SendPooled(netem.SVMAC(p.cfg.AppID), netem.EtherTypeSV, pb)
+		p.sent++
+		return
+	}
+	p.scratch = MarshalAppend(p.scratch[:0], p.cfg.AppID, s)
+	for _, peer := range p.peers {
+		if p.sock.SendTo(peer, RSVPort, p.scratch) == nil {
+			p.sent++
+		}
 	}
 }
 
-// Sent reports transmitted samples.
+// Stop closes an R-SV publisher's socket; an L2 publisher holds nothing to
+// release.
+func (p *Publisher) Stop() {
+	if p.sock != nil {
+		p.sock.Close()
+	}
+}
+
+// Sent reports transmitted samples; an R-SV publisher counts one per peer
+// datagram.
 func (p *Publisher) Sent() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.sent
 }
 
-// Subscriber receives an SV stream.
+// Subscriber receives an SV stream from L2 frames or (R-SV) from UDP
+// datagrams.
 type Subscriber struct {
 	mu       sync.Mutex
 	received uint64
@@ -272,6 +264,9 @@ type Subscriber struct {
 	lastCnt  uint16
 	seen     bool
 	ch       chan Sample
+	// R-SV only: the bound socket and the pump decoding from it.
+	sock *netem.UDPSocket
+	done chan struct{}
 }
 
 // Subscribe joins the SV multicast group for appID.
@@ -289,6 +284,36 @@ func Subscribe(h *netem.Host, appID uint16) *Subscriber {
 		s.deliver(sample)
 	})
 	return s
+}
+
+// SubscribeR binds the R-SV port and decodes the datagrams for appID on a
+// pump goroutine that Close stops.
+func SubscribeR(h *netem.Host, appID uint16) (*Subscriber, error) {
+	sock, err := h.BindUDP(RSVPort)
+	if err != nil {
+		return nil, err
+	}
+	s := &Subscriber{ch: make(chan Sample, 1024), sock: sock, done: make(chan struct{})}
+	go func() {
+		defer close(s.done)
+		var dec Decoder // arena reused on this goroutine
+		for m := range sock.Recv() {
+			gotID, sample, err := dec.Unmarshal(m.Data)
+			if err == nil && gotID == appID {
+				s.deliver(sample)
+			}
+		}
+	}()
+	return s, nil
+}
+
+// Close releases an R-SV subscriber's socket and waits for its pump to
+// finish. It is a no-op for an L2 subscriber.
+func (s *Subscriber) Close() {
+	if s.sock != nil {
+		s.sock.Close()
+		<-s.done
+	}
 }
 
 func (s *Subscriber) deliver(sample Sample) {
@@ -317,137 +342,4 @@ func (s *Subscriber) Stats() (received, lost uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.received, s.lost
-}
-
-// RPublisher streams samples over UDP to peer gateways (R-SV).
-type RPublisher struct {
-	cfg   PublisherConfig
-	sock  *netem.UDPSocket
-	peers []netem.IPv4
-	src   SourceFunc
-
-	mu      sync.Mutex
-	smpCnt  uint16
-	sent    uint64
-	scratch []byte // reused marshal buffer; SendTo copies, so reuse is safe
-	cancel  context.CancelFunc
-	done    chan struct{}
-}
-
-// NewRPublisher binds an ephemeral UDP socket for an R-SV stream.
-func NewRPublisher(h *netem.Host, cfg PublisherConfig, peers []netem.IPv4, src SourceFunc) (*RPublisher, error) {
-	if cfg.Rate <= 0 {
-		cfg.Rate = 10 * time.Millisecond
-	}
-	sock, err := h.BindUDP(0)
-	if err != nil {
-		return nil, err
-	}
-	return &RPublisher{cfg: cfg, sock: sock, peers: append([]netem.IPv4(nil), peers...), src: src}, nil
-}
-
-// Start begins streaming until Stop.
-func (p *RPublisher) Start() {
-	ctx, cancel := context.WithCancel(context.Background())
-	p.mu.Lock()
-	p.cancel = cancel
-	p.done = make(chan struct{})
-	done := p.done
-	p.mu.Unlock()
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(p.cfg.Rate)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-ticker.C:
-				p.PublishNow()
-			}
-		}
-	}()
-}
-
-// PublishNow transmits one sample to all peers immediately.
-func (p *RPublisher) PublishNow() {
-	values := p.src()
-	p.mu.Lock()
-	s := Sample{
-		SvID:    p.cfg.SvID,
-		SmpCnt:  p.smpCnt,
-		ConfRev: p.cfg.ConfRev,
-		Values:  values,
-		RefrTm:  time.Now(),
-	}
-	p.smpCnt++
-	// The scratch buffer is reused under the lock; SendTo copies the payload
-	// into the datagram, so nothing retains it past the call.
-	p.scratch = MarshalAppend(p.scratch[:0], p.cfg.AppID, s)
-	for _, peer := range p.peers {
-		if err := p.sock.SendTo(peer, RSVPort, p.scratch); err == nil {
-			p.sent++
-		}
-	}
-	p.mu.Unlock()
-}
-
-// Stop halts the stream and closes the socket.
-func (p *RPublisher) Stop() {
-	p.mu.Lock()
-	cancel := p.cancel
-	done := p.done
-	p.cancel = nil
-	p.mu.Unlock()
-	if cancel != nil {
-		cancel()
-		<-done
-	}
-	p.sock.Close()
-}
-
-// Sent reports transmitted datagrams.
-func (p *RPublisher) Sent() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.sent
-}
-
-// RSubscriber receives an R-SV stream on the R-SV UDP port.
-type RSubscriber struct {
-	sub  *Subscriber
-	sock *netem.UDPSocket
-	done chan struct{}
-}
-
-// SubscribeR binds the R-SV port and decodes inbound datagrams for appID.
-func SubscribeR(h *netem.Host, appID uint16) (*RSubscriber, error) {
-	sock, err := h.BindUDP(RSVPort)
-	if err != nil {
-		return nil, err
-	}
-	rs := &RSubscriber{sub: &Subscriber{ch: make(chan Sample, 1024)}, sock: sock, done: make(chan struct{})}
-	go func() {
-		defer close(rs.done)
-		for m := range sock.Recv() {
-			gotID, sample, err := Unmarshal(m.Data)
-			if err != nil || gotID != appID {
-				continue
-			}
-			rs.sub.deliver(sample)
-		}
-	}()
-	return rs, nil
-}
-
-// Samples returns the delivery channel.
-func (rs *RSubscriber) Samples() <-chan Sample { return rs.sub.Samples() }
-
-// Stats reports received and lost counts.
-func (rs *RSubscriber) Stats() (received, lost uint64) { return rs.sub.Stats() }
-
-// Close releases the socket.
-func (rs *RSubscriber) Close() {
-	rs.sock.Close()
-	<-rs.done
 }

@@ -1,7 +1,6 @@
 package sv
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -106,49 +105,36 @@ func TestUnmarshalErrors(t *testing.T) {
 
 func TestStreamDelivery(t *testing.T) {
 	hosts := testLAN(t, 2)
-	var mu sync.Mutex
 	current := []float64{0.1, 0.1, 0.1}
-	pub := NewPublisher(hosts[0], PublisherConfig{SvID: "MU01", AppID: 0x4000, Rate: 5 * time.Millisecond},
-		func() []float64 {
-			mu.Lock()
-			defer mu.Unlock()
-			return append([]float64(nil), current...)
-		})
+	pub := NewPublisher(hosts[0], PublisherConfig{SvID: "MU01", AppID: 0x4000},
+		func() []float64 { return append([]float64(nil), current...) })
 	sub := Subscribe(hosts[1], 0x4000)
-	pub.Start()
-	defer pub.Stop()
-
-	// Collect some samples, then change the source and observe the change.
-	var first Sample
-	select {
-	case first = <-sub.Samples():
-	case <-time.After(2 * time.Second):
-		t.Fatal("no samples")
-	}
-	if first.SvID != "MU01" || len(first.Values) != 3 {
-		t.Errorf("first sample = %+v", first)
-	}
-	mu.Lock()
-	current = []float64{9, 9, 9}
-	mu.Unlock()
-	deadline := time.After(2 * time.Second)
-	for {
+	next := func() Sample {
+		t.Helper()
 		select {
 		case s := <-sub.Samples():
-			if s.Values[0] == 9 {
-				goto done
-			}
-		case <-deadline:
-			t.Fatal("source change never observed")
+			return s
+		case <-time.After(2 * time.Second):
+			t.Fatal("no sample delivered")
+			return Sample{}
 		}
 	}
-done:
-	received, _ := sub.Stats()
-	if received < 2 {
-		t.Errorf("received = %d", received)
+
+	// Each PublishNow sends one sample of the source's values at that step;
+	// a source change shows in the next step's sample.
+	pub.PublishNow()
+	first := next()
+	if first.SvID != "MU01" || len(first.Values) != 3 || first.Values[0] != 0.1 {
+		t.Errorf("first sample = %+v", first)
 	}
-	if pub.Sent() < received {
-		t.Errorf("sent %d < received %d", pub.Sent(), received)
+	current = []float64{9, 9, 9}
+	pub.PublishNow()
+	if s := next(); s.Values[0] != 9 || s.SmpCnt != first.SmpCnt+1 {
+		t.Errorf("second sample = %+v, want values 9 and smpCnt %d", s, first.SmpCnt+1)
+	}
+	received, lost := sub.Stats()
+	if received != 2 || lost != 0 || pub.Sent() != 2 {
+		t.Errorf("received=%d lost=%d sent=%d, want 2/0/2", received, lost, pub.Sent())
 	}
 }
 
@@ -226,33 +212,5 @@ func TestRSVGatewayExchange(t *testing.T) {
 	}
 	if pubA.Sent() != 1 || pubB.Sent() != 1 {
 		t.Errorf("sent counts %d/%d", pubA.Sent(), pubB.Sent())
-	}
-}
-
-func TestRSVStartStop(t *testing.T) {
-	hosts := testLAN(t, 2)
-	sub, err := SubscribeR(hosts[1], 0x4200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-	pub, err := NewRPublisher(hosts[0], PublisherConfig{SvID: "GW", AppID: 0x4200, Rate: 5 * time.Millisecond},
-		[]netem.IPv4{hosts[1].IP()}, func() []float64 { return []float64{1} })
-	if err != nil {
-		t.Fatal(err)
-	}
-	pub.Start()
-	time.Sleep(40 * time.Millisecond)
-	pub.Stop()
-	received, _ := sub.Stats()
-	if received < 2 {
-		t.Errorf("received = %d before stop", received)
-	}
-	time.Sleep(30 * time.Millisecond)
-	afterStop, _ := sub.Stats()
-	time.Sleep(30 * time.Millisecond)
-	final, _ := sub.Stats()
-	if final != afterStop {
-		t.Error("samples still flowing after Stop")
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -41,7 +40,6 @@ import (
 	"repro/internal/scl"
 	"repro/internal/sclmerge"
 	"repro/internal/sgmlconf"
-	"repro/internal/sv"
 )
 
 // ---------------------------------------------------------------------------
@@ -817,71 +815,6 @@ func BenchmarkScale_FullRangeStep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkScale_SVStreamThroughput(b *testing.B) {
-	// Scenario-diversity workload: a sustained high-rate SV stream (bursts of
-	// 80 samples per iteration, the 9-2 LE samples/cycle figure) pushed
-	// across the 5x20 fabric end-to-end — multicast flooding through the
-	// substation switches, past the attached IDS tap on every link, into a
-	// subscribing IED host. Exercises the zero-allocation data plane at the
-	// paper's scale target.
-	ms, _, err := sgml.ScaleModelSet(5, 20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r, err := sgml.Compile(ms)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer r.Stop()
-	sensor := ids.New(ids.Options{})
-	sensor.Attach(r.Net)
-	if err := r.Start(context.Background(), false); err != nil {
-		b.Fatal(err)
-	}
-	names := make([]string, 0, len(r.Built.Hosts))
-	for name := range r.Built.Hosts {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	if len(names) < 2 {
-		b.Fatal("not enough hosts")
-	}
-	muHost, iedHost := r.Built.Hosts[names[0]], r.Built.Hosts[names[len(names)-1]]
-	const appID = 0x4abc
-	sub := sv.Subscribe(iedHost, appID)
-	pub := sv.NewPublisher(muHost, sv.PublisherConfig{SvID: "MU-bench", AppID: appID, ConfRev: 1},
-		func() []float64 { return []float64{1.02, -0.5, 0.98, 1.7, -1.7, 0.0} })
-	const burst = 80
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < burst; j++ {
-			pub.PublishNow()
-		}
-	}
-	b.StopTimer()
-	elapsed := b.Elapsed()
-	// Allow in-flight frames to drain, then report end-to-end figures.
-	deadline := time.Now().Add(2 * time.Second)
-	var received uint64
-	for {
-		received, _ = sub.Stats()
-		if received >= uint64(b.N*burst) || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if elapsed > 0 {
-		b.ReportMetric(float64(b.N*burst)/elapsed.Seconds(), "pkts/s")
-	}
-	b.ReportMetric(100*float64(received)/float64(b.N*burst), "%delivered")
-	if sensor.Frames() == 0 {
-		b.Fatal("IDS saw no traffic")
-	}
-	stats := r.DataPlaneStats()
-	b.ReportMetric(100*stats.PoolHitRate(), "%poolhit")
 }
 
 func BenchmarkScale_CampaignThroughput(b *testing.B) {

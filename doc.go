@@ -246,11 +246,12 @@
 //
 // # Zero-allocation data plane
 //
-// The packet plane — every GOOSE/R-GOOSE/SV/MMS message marshalled, carried
+// The packet plane — every GOOSE/R-SV/MMS message marshalled, carried
 // across the emulated fabric and decoded again — runs (near-)allocation-free
 // on its warm path. The BER codec encodes in place with back-patched lengths
 // (ber.Encoder) and decodes into a reusable TLV arena (ber.Decoder); the
-// GOOSE and SV publishers marshal into fabric-pooled payload buffers and the
+// L2 GOOSE publisher marshals into fabric-pooled payload buffers, the R-SV
+// publisher into a reused scratch buffer that the UDP stack copies, and the
 // subscribers decode with per-subscriber arenas; netem recycles frame
 // payloads through a sync.Pool.
 //

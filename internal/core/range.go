@@ -261,7 +261,11 @@ func buildArtifacts(ms *ModelSet) (*rangeArtifacts, *BuiltNetwork, error) {
 			GooseAppID: appIDs[sclIED.Name],
 		}
 		if entry != nil && entry.Protection.CILO != nil {
-			cfg.GuardAppID = appIDs[entry.Protection.CILO.GuardIED]
+			guard := entry.Protection.CILO.GuardIED
+			if err := checkGuard(cons, appIDs, sclIED.Name, guard); err != nil {
+				return nil, nil, err
+			}
+			cfg.GuardAppID = appIDs[guard]
 		}
 		if entry != nil && entry.Protection.PDIF != nil {
 			// Differential protection needs the R-SV exchange with the remote
@@ -446,6 +450,24 @@ func isInfraNode(i *scl.IED) bool {
 		}
 	}
 	return true
+}
+
+// checkGuard rejects a CILO guard the interlocked IED can never hear: its
+// guard status arrives only as L2 GOOSE, which does not cross the routed WAN,
+// so an unknown guard, one without a GSE APPID or one in another substation
+// would leave the guard unknown and deny every close.
+func checkGuard(cons *sclmerge.Consolidated, appIDs map[string]uint16, ied, guard string) error {
+	guardSub, ok := cons.SubstationOf[guard]
+	switch {
+	case !ok:
+		return fmt.Errorf("%w: IED %s CILO guard IED %q is not in the model", ErrModel, ied, guard)
+	case appIDs[guard] == 0:
+		return fmt.Errorf("%w: IED %s CILO guard IED %s publishes no GOOSE (no GSE APPID)", ErrModel, ied, guard)
+	case guardSub != cons.SubstationOf[ied]:
+		return fmt.Errorf("%w: IED %s CILO guard IED %s is in substation %s, not %s; GOOSE does not cross the WAN",
+			ErrModel, ied, guard, guardSub, cons.SubstationOf[ied])
+	}
+	return nil
 }
 
 // rsvPairAppID derives the shared R-SV APPID for a differential-protection

@@ -344,6 +344,45 @@ func TestCompileErrors(t *testing.T) {
 	})
 }
 
+// TestCompileRejectsUnheardCILOGuard pins that a CILO guard the interlocked
+// IED could never hear fails Compile instead of silently denying every close.
+func TestCompileRejectsUnheardCILOGuard(t *testing.T) {
+	epicGuard := func(guard string) *ModelSet {
+		ms := epicModelSet(t)
+		ms.IEDConfig.Find("MIED1").Protection.CILO.GuardIED = guard
+		return ms
+	}
+	crossSub := func() *ModelSet {
+		// The 2-substation scale model: S1's first feeder IED guarded by a
+		// feeder IED of S2.
+		sm, err := epic.NewScaleModel(2, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sm.IEDConfigs.Find("S1_IED1").Protection.CILO = &sgmlconf.CILOConf{GuardBreaker: "S2_CB1", GuardIED: "S2_IED1"}
+		return &ModelSet{Name: "cilo", SCDs: sm.SCDs, SED: sm.SED,
+			IEDConfig: sm.IEDConfigs, PowerConfig: sm.PowerConfig}
+	}
+	for _, tc := range []struct {
+		name, ied, guard string
+		ms               func() *ModelSet
+	}{
+		{"unknown guard", "MIED1", "GHOST", func() *ModelSet { return epicGuard("GHOST") }},
+		{"guard without GSE APPID", "MIED1", "CPLC", func() *ModelSet { return epicGuard("CPLC") }},
+		{"guard in another substation", "S1_IED1", "S2_IED1", crossSub},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Compile(tc.ms())
+			if !errors.Is(err, ErrModel) {
+				t.Fatalf("err = %v, want ErrModel", err)
+			}
+			if msg := err.Error(); !strings.Contains(msg, tc.ied) || !strings.Contains(msg, tc.guard) {
+				t.Errorf("error %q does not name %s and %s", msg, tc.ied, tc.guard)
+			}
+		})
+	}
+}
+
 func TestScenarioProfileAffectsRange(t *testing.T) {
 	ms := epicModelSet(t)
 	// Replace profile: drop PV to zero at t=200ms.

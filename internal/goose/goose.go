@@ -1,16 +1,14 @@
 // Package goose implements GOOSE (Generic Object Oriented Substation Event,
-// IEC 61850-8-1) publish/subscribe messaging, plus the routable R-GOOSE
-// variant, substituting libiec61850's GOOSE layer (§III-B).
+// IEC 61850-8-1) publish/subscribe messaging, substituting libiec61850's
+// GOOSE layer (§III-B).
 //
 // GOOSE carries device status (breaker positions, protection trips) between
 // IEDs as multicast Ethernet frames with EtherType 0x88B8. Publishers
 // retransmit each state with an increasing interval and bump stNum on state
 // changes / sqNum on retransmissions, exactly the semantics interlocking
-// (CILO, Table II) depends on. R-GOOSE (IEC TR 61850-90-5) carries the same
-// PDU, with the same retransmission behaviour, in UDP for inter-substation
-// delivery through the WAN (SED gateways): one Publisher and one Subscriber
-// type serve both transports. The emulated WAN has no IP multicast, so
-// R-GOOSE unicasts to the configured peer gateways (README, "Substitutions").
+// (CILO, Table II) depends on. Every CILO guard is in its interlocked IED's
+// substation, so GOOSE never crosses the routed WAN and the routable R-GOOSE
+// variant is not modelled (README, "Substitutions").
 package goose
 
 import (
@@ -24,9 +22,6 @@ import (
 	"repro/internal/mms"
 	"repro/internal/netem"
 )
-
-// RGoosePort is the UDP port used for routable GOOSE.
-const RGoosePort = 102
 
 // Message is a decoded GOOSE PDU.
 type Message struct {
@@ -284,19 +279,14 @@ type PublisherConfig struct {
 	FixedInterval time.Duration
 }
 
-// Publisher periodically sends the current dataset state: as L2 multicast
-// frames, or (R-GOOSE) as UDP datagrams to each peer gateway.
+// Publisher periodically multicasts the current dataset state.
 type Publisher struct {
 	cfg  PublisherConfig
 	host *netem.Host
 	mac  netem.MAC
-	// R-GOOSE transport; a nil sock selects L2 multicast.
-	sock  *netem.UDPSocket
-	peers []netem.IPv4
 
 	mu      sync.Mutex
 	values  []mms.Value
-	scratch []byte // R-GOOSE marshal buffer; SendTo copies, so reuse is safe
 	stNum   uint32
 	sqNum   uint32
 	retrans int
@@ -312,19 +302,6 @@ func NewPublisher(h *netem.Host, cfg PublisherConfig) *Publisher {
 		cfg.Heartbeat = time.Second
 	}
 	return &Publisher{cfg: cfg, host: h, mac: netem.GooseMAC(cfg.AppID), now: time.Now}
-}
-
-// NewRPublisher creates an R-GOOSE publisher: it binds an ephemeral UDP
-// socket on the host and sends every transmission to each peer's
-// RGoosePort.
-func NewRPublisher(h *netem.Host, cfg PublisherConfig, peers []netem.IPv4) (*Publisher, error) {
-	sock, err := h.BindUDP(0)
-	if err != nil {
-		return nil, err
-	}
-	p := NewPublisher(h, cfg)
-	p.sock, p.peers = sock, append([]netem.IPv4(nil), peers...)
-	return p, nil
 }
 
 // Publish announces a new dataset state: stNum increments, sqNum resets, and
@@ -345,7 +322,7 @@ func (p *Publisher) Publish(values ...mms.Value) {
 	p.mu.Unlock()
 }
 
-// Stop halts retransmission and closes an R-GOOSE publisher's socket.
+// Stop halts retransmission.
 func (p *Publisher) Stop() {
 	p.mu.Lock()
 	p.stopped = true
@@ -353,13 +330,9 @@ func (p *Publisher) Stop() {
 		p.timer.Stop()
 	}
 	p.mu.Unlock()
-	if p.sock != nil {
-		p.sock.Close()
-	}
 }
 
-// Sent reports frames transmitted (including retransmissions); an R-GOOSE
-// publisher counts one per peer datagram.
+// Sent reports frames transmitted (including retransmissions).
 func (p *Publisher) Sent() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -387,22 +360,12 @@ func (p *Publisher) sendLocked() {
 		Values:    p.values,
 	}
 	p.sqNum++
-	if p.sock == nil {
-		// Marshal into a fabric-pooled buffer and hand ownership to the
-		// fabric; the terminal deliverer releases it (zero-allocation warm
-		// path).
-		pb := p.host.AllocPayload()
-		pb.B = MarshalAppend(pb.B, p.cfg.AppID, msg)
-		p.host.SendPooled(p.mac, netem.EtherTypeGOOSE, pb)
-		p.sent++
-		return
-	}
-	p.scratch = MarshalAppend(p.scratch[:0], p.cfg.AppID, msg)
-	for _, peer := range p.peers {
-		if p.sock.SendTo(peer, RGoosePort, p.scratch) == nil {
-			p.sent++
-		}
-	}
+	// Marshal into a fabric-pooled buffer and hand ownership to the fabric;
+	// the terminal deliverer releases it (zero-allocation warm path).
+	pb := p.host.AllocPayload()
+	pb.B = MarshalAppend(pb.B, p.cfg.AppID, msg)
+	p.host.SendPooled(p.mac, netem.EtherTypeGOOSE, pb)
+	p.sent++
 }
 
 func (p *Publisher) nextDelayLocked() time.Duration {
@@ -443,28 +406,20 @@ type Update struct {
 	NewState bool
 }
 
-// Subscriber receives GOOSE messages for one APPID group, from L2 frames or
-// (R-GOOSE) from UDP datagrams.
+// Subscriber receives GOOSE messages for one APPID group.
 type Subscriber struct {
 	mu       sync.Mutex
 	lastSt   map[string]uint32 // gocbRef -> last stNum
 	received uint64
 	dropped  uint64
 	ch       chan Update
-	// R-GOOSE only: the bound socket and the pump decoding from it.
-	sock *netem.UDPSocket
-	done chan struct{}
-}
-
-func newSubscriber() *Subscriber {
-	return &Subscriber{lastSt: make(map[string]uint32), ch: make(chan Update, 256)}
 }
 
 // Subscribe joins the multicast group for appID on the host and returns the
 // subscriber. The returned channel yields every received message; NewState
 // distinguishes fresh states from retransmissions.
 func Subscribe(h *netem.Host, appID uint16) *Subscriber {
-	s := newSubscriber()
+	s := &Subscriber{lastSt: make(map[string]uint32), ch: make(chan Update, 256)}
 	h.JoinMulticast(netem.GooseMAC(appID))
 	// The handler runs on the host's single worker goroutine, so the arena
 	// decoder needs no locking. The decoded Message copies everything it
@@ -479,37 +434,6 @@ func Subscribe(h *netem.Host, appID uint16) *Subscriber {
 		s.deliver(gotID, msg)
 	})
 	return s
-}
-
-// SubscribeR binds the R-GOOSE port on the host and decodes the datagrams
-// for appID on a pump goroutine that Close stops.
-func SubscribeR(h *netem.Host, appID uint16) (*Subscriber, error) {
-	sock, err := h.BindUDP(RGoosePort)
-	if err != nil {
-		return nil, err
-	}
-	s := newSubscriber()
-	s.sock, s.done = sock, make(chan struct{})
-	go func() {
-		defer close(s.done)
-		dec := NewDecoder() // arena + interning reused on this goroutine
-		for m := range sock.Recv() {
-			gotID, msg, err := dec.Unmarshal(m.Data)
-			if err == nil && gotID == appID {
-				s.deliver(gotID, msg)
-			}
-		}
-	}()
-	return s, nil
-}
-
-// Close releases an R-GOOSE subscriber's socket and waits for its pump to
-// finish. It is a no-op for an L2 subscriber.
-func (s *Subscriber) Close() {
-	if s.sock != nil {
-		s.sock.Close()
-		<-s.done
-	}
 }
 
 func (s *Subscriber) deliver(appID uint16, msg Message) {

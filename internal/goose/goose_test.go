@@ -250,55 +250,3 @@ func TestPublisherStopHaltsRetransmission(t *testing.T) {
 		t.Error("Publish after Stop transmitted")
 	}
 }
-
-func TestRGooseAcrossRouting(t *testing.T) {
-	_, hosts := testLAN(t, 3)
-	sub1, err := SubscribeR(hosts[1], 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub1.Close()
-	sub2, err := SubscribeR(hosts[2], 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub2.Close()
-
-	pub, err := NewRPublisher(hosts[0], PublisherConfig{
-		GocbRef: "GW1LD0/LLN0$GO$rgcb", AppID: 9, Heartbeat: time.Hour,
-	}, []netem.IPv4{hosts[1].IP(), hosts[2].IP()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pub.Stop()
-	stamp := time.Unix(1_700_000_000, 0).UTC()
-	pub.now = func() time.Time { return stamp }
-
-	pub.Publish(mms.NewBool(true), mms.NewString("CB-OPEN"))
-	// Each gateway sees the new state and then its retransmissions: over UDP
-	// they keep stNum, bump sqNum and carry the L2 schedule's TTL, as L2
-	// GOOSE does.
-	const datagrams = 3
-	for i, sub := range []*Subscriber{sub1, sub2} {
-		for sq := uint32(0); sq < datagrams; sq++ {
-			select {
-			case u := <-sub.Updates():
-				m := u.Message
-				if m.GocbRef != "GW1LD0/LLN0$GO$rgcb" || len(m.Values) != 2 || !m.Timestamp.Equal(stamp) {
-					t.Errorf("sub %d got %+v", i, m)
-				}
-				if m.StNum != 1 || m.SqNum != sq || u.NewState != (sq == 0) {
-					t.Errorf("sub %d datagram %d: stNum=%d sqNum=%d new=%t", i, sq, m.StNum, m.SqNum, u.NewState)
-				}
-				if want := uint32(2 * RetransmissionSchedule(int(sq)+1, time.Hour) / time.Millisecond); m.TTLMillis != want {
-					t.Errorf("sub %d datagram %d: TTL %d ms, want %d", i, sq, m.TTLMillis, want)
-				}
-			case <-time.After(2 * time.Second):
-				t.Fatalf("R-GOOSE datagram %d not delivered to sub %d", sq, i)
-			}
-		}
-	}
-	if got := pub.Sent(); got < 2*datagrams {
-		t.Errorf("sent = %d, want >= %d", got, 2*datagrams)
-	}
-}

@@ -8,11 +8,13 @@
 // power system simulator through [a key-value cache]."
 //
 // An IED is a netem host running an MMS server (measurements + breaker
-// control), a GOOSE publisher (status/trip events), optional GOOSE
-// subscription (CILO interlock guard), optional R-SV publish/subscribe
-// (PDIF differential exchange), and a protection evaluation (Step) coupled to
-// the simulator through the kv bus, which the range's step engine calls once
-// per simulation interval.
+// control), an L2 GOOSE publisher (status/trip events), optional L2 GOOSE
+// subscription (CILO interlock guard, always in the IED's own substation),
+// optional R-SV publish/subscribe (PDIF differential exchange across the
+// WAN), and a protection evaluation (Step) coupled to the simulator through
+// the kv bus, which the range's step engine calls once per simulation
+// interval. R-GOOSE is not modelled: no model interlocks across substations
+// (README, "Substitutions").
 package ied
 
 import (

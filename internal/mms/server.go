@@ -254,12 +254,17 @@ func (s *Server) serveConn(conn *netem.TCPConn) {
 		}
 		switch p.kind {
 		case tagInitiateRequest:
-			if err := reply(encodeInitiateResponse(hdr(), s.Vendor, s.Model)); err != nil {
-				return
-			}
+			// Register as a report target before replying, holding the lock
+			// across the reply: a Report issued once the client's Dial has
+			// returned reaches this connection, and no report can reach the
+			// wire ahead of the initiate response.
 			s.mu.Lock()
 			s.reporters[conn] = true
+			err := reply(encodeInitiateResponse(hdr(), s.Vendor, s.Model))
 			s.mu.Unlock()
+			if err != nil {
+				return
+			}
 		case tagConclude:
 			return
 		case tagConfirmedRequest:

@@ -15,8 +15,6 @@ var (
 	BroadcastMAC = MAC{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}
 	// GooseMACBase is the IEC 61850 multicast range 01-0C-CD-01-xx-xx.
 	GooseMACBase = MAC{0x01, 0x0C, 0xCD, 0x01, 0x00, 0x00}
-	// SVMACBase is the sampled-values multicast range 01-0C-CD-04-xx-xx.
-	SVMACBase = MAC{0x01, 0x0C, 0xCD, 0x04, 0x00, 0x00}
 )
 
 // IsMulticast reports whether the address has the group bit set.
@@ -50,14 +48,6 @@ func ParseMAC(s string) (MAC, error) {
 // GooseMAC returns the GOOSE multicast address for an APPID.
 func GooseMAC(appID uint16) MAC {
 	m := GooseMACBase
-	m[4] = byte(appID >> 8)
-	m[5] = byte(appID)
-	return m
-}
-
-// SVMAC returns the sampled-values multicast address for an APPID.
-func SVMAC(appID uint16) MAC {
-	m := SVMACBase
 	m[4] = byte(appID >> 8)
 	m[5] = byte(appID)
 	return m

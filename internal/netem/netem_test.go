@@ -57,14 +57,10 @@ func TestParseIPv4(t *testing.T) {
 	}
 }
 
-func TestGooseSVMAC(t *testing.T) {
+func TestGooseMAC(t *testing.T) {
 	g := GooseMAC(0x1234)
 	if g[4] != 0x12 || g[5] != 0x34 || g[3] != 0x01 {
 		t.Errorf("GooseMAC = %v", g)
-	}
-	s := SVMAC(0x4001)
-	if s[3] != 0x04 || s[4] != 0x40 || s[5] != 0x01 {
-		t.Errorf("SVMAC = %v", s)
 	}
 }
 

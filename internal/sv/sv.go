@@ -1,14 +1,16 @@
-// Package sv implements IEC 61850-9-2 Sampled Values messaging and the
-// routable R-SV variant, substituting libiec61850's SV layer (§III-B).
+// Package sv implements routable Sampled Values (R-SV, IEC TR 61850-90-5
+// carrying the IEC 61850-9-2 savPdu), substituting libiec61850's SV layer
+// (§III-B).
 //
 // SV streams power-grid measurements (phase currents and voltages) between
 // merging units and IEDs. In the cyber range R-SV carries measurements
 // between substations for differential protection (PDIF, Table II): each
 // gateway IED streams its local line current to the remote end, which
-// compares the two. Frames use EtherType 0x88BA on the LAN and UDP datagrams
-// across the WAN; one Publisher and one Subscriber type serve both
-// transports. Streams are step-driven: the owner calls PublishNow once per
-// sample, so the range's step clock sets the sampling rate.
+// compares the two. No model streams SV on a LAN, so the L2 (EtherType
+// 0x88BA) transport is not modelled; samples travel as UDP datagrams across
+// the WAN (README, "Substitutions"). Streams are step-driven: the owner calls
+// PublishNow once per sample, so the range's step clock sets the sampling
+// rate.
 package sv
 
 import (
@@ -175,25 +177,17 @@ type PublisherConfig struct {
 	ConfRev uint32
 }
 
-// Publisher sends samples as L2 multicast frames or (R-SV) as UDP datagrams
-// to each peer gateway.
+// Publisher sends samples as UDP datagrams to each peer gateway.
 type Publisher struct {
-	cfg  PublisherConfig
-	host *netem.Host
-	src  SourceFunc
-	// R-SV transport; a nil sock selects L2 multicast.
+	cfg   PublisherConfig
+	src   SourceFunc
 	sock  *netem.UDPSocket
 	peers []netem.IPv4
 
 	mu      sync.Mutex
 	smpCnt  uint16
 	sent    uint64
-	scratch []byte // R-SV marshal buffer; SendTo copies, so reuse is safe
-}
-
-// NewPublisher creates an SV publisher multicasting on a host NIC.
-func NewPublisher(h *netem.Host, cfg PublisherConfig, src SourceFunc) *Publisher {
-	return &Publisher{cfg: cfg, host: h, src: src}
+	scratch []byte // marshal buffer; SendTo copies, so reuse is safe
 }
 
 // NewRPublisher creates an R-SV publisher: it binds an ephemeral UDP socket
@@ -204,9 +198,7 @@ func NewRPublisher(h *netem.Host, cfg PublisherConfig, peers []netem.IPv4, src S
 	if err != nil {
 		return nil, err
 	}
-	p := NewPublisher(h, cfg, src)
-	p.sock, p.peers = sock, append([]netem.IPv4(nil), peers...)
-	return p, nil
+	return &Publisher{cfg: cfg, src: src, sock: sock, peers: append([]netem.IPv4(nil), peers...)}, nil
 }
 
 // PublishNow transmits one sample of the source's current values.
@@ -222,15 +214,6 @@ func (p *Publisher) PublishNow() {
 		RefrTm:  time.Now(),
 	}
 	p.smpCnt++
-	if p.sock == nil {
-		// Marshal into a fabric-pooled buffer; the terminal deliverer
-		// releases it (zero-allocation warm path for kHz-rate streams).
-		pb := p.host.AllocPayload()
-		pb.B = MarshalAppend(pb.B, p.cfg.AppID, s)
-		p.host.SendPooled(netem.SVMAC(p.cfg.AppID), netem.EtherTypeSV, pb)
-		p.sent++
-		return
-	}
 	p.scratch = MarshalAppend(p.scratch[:0], p.cfg.AppID, s)
 	for _, peer := range p.peers {
 		if p.sock.SendTo(peer, RSVPort, p.scratch) == nil {
@@ -239,24 +222,17 @@ func (p *Publisher) PublishNow() {
 	}
 }
 
-// Stop closes an R-SV publisher's socket; an L2 publisher holds nothing to
-// release.
-func (p *Publisher) Stop() {
-	if p.sock != nil {
-		p.sock.Close()
-	}
-}
+// Stop closes the publisher's socket.
+func (p *Publisher) Stop() { p.sock.Close() }
 
-// Sent reports transmitted samples; an R-SV publisher counts one per peer
-// datagram.
+// Sent reports transmitted samples, one per peer datagram.
 func (p *Publisher) Sent() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.sent
 }
 
-// Subscriber receives an SV stream from L2 frames or (R-SV) from UDP
-// datagrams.
+// Subscriber receives an SV stream from UDP datagrams.
 type Subscriber struct {
 	mu       sync.Mutex
 	received uint64
@@ -264,26 +240,8 @@ type Subscriber struct {
 	lastCnt  uint16
 	seen     bool
 	ch       chan Sample
-	// R-SV only: the bound socket and the pump decoding from it.
-	sock *netem.UDPSocket
-	done chan struct{}
-}
-
-// Subscribe joins the SV multicast group for appID.
-func Subscribe(h *netem.Host, appID uint16) *Subscriber {
-	s := &Subscriber{ch: make(chan Sample, 1024)}
-	h.JoinMulticast(netem.SVMAC(appID))
-	// Runs on the host's single worker goroutine; the arena decoder is
-	// reused across frames and the Sample copies everything it keeps.
-	var dec Decoder
-	h.HandleEtherType(netem.EtherTypeSV, func(f netem.Frame) {
-		gotID, sample, err := dec.Unmarshal(f.Payload)
-		if err != nil || gotID != appID {
-			return
-		}
-		s.deliver(sample)
-	})
-	return s
+	sock     *netem.UDPSocket
+	done     chan struct{} // closed when the pump exits
 }
 
 // SubscribeR binds the R-SV port and decodes the datagrams for appID on a
@@ -307,13 +265,10 @@ func SubscribeR(h *netem.Host, appID uint16) (*Subscriber, error) {
 	return s, nil
 }
 
-// Close releases an R-SV subscriber's socket and waits for its pump to
-// finish. It is a no-op for an L2 subscriber.
+// Close releases the subscriber's socket and waits for its pump to finish.
 func (s *Subscriber) Close() {
-	if s.sock != nil {
-		s.sock.Close()
-		<-s.done
-	}
+	s.sock.Close()
+	<-s.done
 }
 
 func (s *Subscriber) deliver(sample Sample) {

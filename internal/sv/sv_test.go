@@ -8,7 +8,7 @@ import (
 	"repro/internal/netem"
 )
 
-func testLAN(t *testing.T, hosts int) []*netem.Host {
+func testLAN(t *testing.T, hosts int) (*netem.Network, []*netem.Host) {
 	t.Helper()
 	n := netem.NewNetwork()
 	if _, err := netem.NewSwitch(n, "sw", hosts+1); err != nil {
@@ -30,7 +30,35 @@ func testLAN(t *testing.T, hosts int) []*netem.Host {
 		t.Fatal(err)
 	}
 	t.Cleanup(n.Stop)
-	return out
+	return n, out
+}
+
+// rsvPair streams R-SV from hosts[0] to a subscriber on hosts[1].
+func rsvPair(t *testing.T, hosts []*netem.Host, cfg PublisherConfig, src SourceFunc) (*Publisher, *Subscriber) {
+	t.Helper()
+	sub, err := SubscribeR(hosts[1], cfg.AppID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sub.Close)
+	pub, err := NewRPublisher(hosts[0], cfg, []netem.IPv4{hosts[1].IP()}, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(pub.Stop)
+	return pub, sub
+}
+
+// nextSample reads the subscriber's next sample or fails the test.
+func nextSample(t *testing.T, sub *Subscriber) Sample {
+	t.Helper()
+	select {
+	case s := <-sub.Samples():
+		return s
+	case <-time.After(2 * time.Second):
+		t.Fatal("no sample delivered")
+		return Sample{}
+	}
 }
 
 func TestMarshalRoundTrip(t *testing.T) {
@@ -104,32 +132,21 @@ func TestUnmarshalErrors(t *testing.T) {
 }
 
 func TestStreamDelivery(t *testing.T) {
-	hosts := testLAN(t, 2)
+	_, hosts := testLAN(t, 2)
 	current := []float64{0.1, 0.1, 0.1}
-	pub := NewPublisher(hosts[0], PublisherConfig{SvID: "MU01", AppID: 0x4000},
+	pub, sub := rsvPair(t, hosts, PublisherConfig{SvID: "MU01", AppID: 0x4000},
 		func() []float64 { return append([]float64(nil), current...) })
-	sub := Subscribe(hosts[1], 0x4000)
-	next := func() Sample {
-		t.Helper()
-		select {
-		case s := <-sub.Samples():
-			return s
-		case <-time.After(2 * time.Second):
-			t.Fatal("no sample delivered")
-			return Sample{}
-		}
-	}
 
 	// Each PublishNow sends one sample of the source's values at that step;
 	// a source change shows in the next step's sample.
 	pub.PublishNow()
-	first := next()
+	first := nextSample(t, sub)
 	if first.SvID != "MU01" || len(first.Values) != 3 || first.Values[0] != 0.1 {
 		t.Errorf("first sample = %+v", first)
 	}
 	current = []float64{9, 9, 9}
 	pub.PublishNow()
-	if s := next(); s.Values[0] != 9 || s.SmpCnt != first.SmpCnt+1 {
+	if s := nextSample(t, sub); s.Values[0] != 9 || s.SmpCnt != first.SmpCnt+1 {
 		t.Errorf("second sample = %+v, want values 9 and smpCnt %d", s, first.SmpCnt+1)
 	}
 	received, lost := sub.Stats()
@@ -139,32 +156,43 @@ func TestStreamDelivery(t *testing.T) {
 }
 
 func TestSmpCntIncrementsAndLossDetection(t *testing.T) {
-	hosts := testLAN(t, 2)
-	pub := NewPublisher(hosts[0], PublisherConfig{SvID: "MU02", AppID: 0x4001},
+	n, hosts := testLAN(t, 2)
+	pub, sub := rsvPair(t, hosts, PublisherConfig{SvID: "MU02", AppID: 0x4001},
 		func() []float64 { return []float64{1} })
-	sub := Subscribe(hosts[1], 0x4001)
 
 	for i := 0; i < 5; i++ {
 		pub.PublishNow()
 	}
-	time.Sleep(50 * time.Millisecond)
-	received, lost := sub.Stats()
-	if received != 5 || lost != 0 {
-		t.Fatalf("received=%d lost=%d", received, lost)
-	}
-	var prev *Sample
-	for i := 0; i < 5; i++ {
-		s := <-sub.Samples()
-		if prev != nil && s.SmpCnt != prev.SmpCnt+1 {
+	prev := nextSample(t, sub)
+	for i := 1; i < 5; i++ {
+		s := nextSample(t, sub)
+		if s.SmpCnt != prev.SmpCnt+1 {
 			t.Errorf("smpCnt jump %d -> %d", prev.SmpCnt, s.SmpCnt)
 		}
-		cp := s
-		prev = &cp
+		prev = s
+	}
+	if received, lost := sub.Stats(); received != 5 || lost != 0 {
+		t.Fatalf("received=%d lost=%d, want 5/0", received, lost)
+	}
+
+	// Pull the publisher's cable for one sample: the datagram dies on the
+	// down link (ARP is resolved, so the drop happens inside PublishNow),
+	// and the next sample's smpCnt shows the gap.
+	link := n.LinkBetween(hosts[0].Name(), "sw")
+	link.SetUp(false)
+	pub.PublishNow()
+	link.SetUp(true)
+	pub.PublishNow()
+	if s := nextSample(t, sub); s.SmpCnt != prev.SmpCnt+2 {
+		t.Errorf("smpCnt after the gap = %d, want %d", s.SmpCnt, prev.SmpCnt+2)
+	}
+	if received, lost := sub.Stats(); received != 6 || lost != 1 {
+		t.Errorf("received=%d lost=%d, want 6/1", received, lost)
 	}
 }
 
 func TestRSVGatewayExchange(t *testing.T) {
-	hosts := testLAN(t, 2)
+	_, hosts := testLAN(t, 2)
 	// Bidirectional differential-protection exchange: each gateway streams
 	// its local current to the other.
 	subA, err := SubscribeR(hosts[0], 0x4100)

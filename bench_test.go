@@ -1114,15 +1114,15 @@ func BenchmarkAblation_ZeroAllocDataPlane(b *testing.B) {
 		defer f.net.Stop()
 		pub := goose.NewPublisher(f.pub, goose.PublisherConfig{
 			GocbRef: "GIED1LD0/LLN0$GO$gcb1", DatSet: "ds", GoID: "gcb1",
-			AppID: appID, ConfRev: 1, FixedInterval: time.Hour,
+			AppID: appID, ConfRev: 1,
 		})
-		defer pub.Stop()
-		pub.Publish(vals...) // warm buffers, pool and arenas
+		now := time.Unix(1_700_000_000, 0)
+		pub.Publish(now, vals...) // warm buffers, pool and arenas
 		await(b, &received, 1)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			pub.Publish(vals...)
+			pub.Publish(now, vals...)
 			await(b, &received, uint64(i)+2)
 		}
 		b.StopTimer()

@@ -229,7 +229,13 @@
 // CyberRange.Shards order (per substation, then by name; all are scanned
 // before the first error is returned), one HMI poll, the post-hook. Campaigns
 // and searches get their parallelism from running whole runs concurrently.
-// GOOSE/R-SV arrival timing is asynchronous and not part of the replay
+// Each IED's step is also its only driver of protocol I/O: it drains its
+// GOOSE and R-SV subscriptions, publishes GOOSE state changes and the
+// retransmissions due at the step time, and sends one R-SV sample, all
+// stamped with the step time. No device runs a protocol timer or reader
+// goroutine; MMS clients read their replies, and any reports queued ahead
+// of them, on the requesting goroutine. The fabric still delivers
+// asynchronously, so GOOSE/R-SV arrival timing is not part of the replay
 // contract.
 //
 // # Sparse warm-path power flow

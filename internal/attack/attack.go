@@ -74,12 +74,11 @@ func (a *FCI) Injected() uint64 {
 
 // MITM is the ARP-spoofing man-in-the-middle position between two victims.
 type MITM struct {
-	host     *netem.Host
-	victimA  netem.IPv4
-	victimB  netem.IPv4
-	macA     netem.MAC
-	macB     netem.MAC
-	interval time.Duration
+	host    *netem.Host
+	victimA netem.IPv4
+	victimB netem.IPv4
+	macA    netem.MAC
+	macB    netem.MAC
 
 	mu        sync.Mutex
 	forwarded uint64
@@ -91,17 +90,12 @@ type MITM struct {
 	done      chan struct{}
 }
 
+// poisonInterval is the MITM's ARP re-poisoning period.
+const poisonInterval = 500 * time.Millisecond
+
 // NewMITM prepares a MITM between victims A and B from the attacker host.
 func NewMITM(host *netem.Host, victimA, victimB netem.IPv4) *MITM {
-	return &MITM{host: host, victimA: victimA, victimB: victimB, interval: 500 * time.Millisecond}
-}
-
-// SetInterval changes the ARP re-poisoning period (default 500 ms). Must be
-// called before Start; non-positive values are ignored.
-func (m *MITM) SetInterval(d time.Duration) {
-	if d > 0 {
-		m.interval = d
-	}
+	return &MITM{host: host, victimA: victimA, victimB: victimB}
 }
 
 // SetPayloadTamper installs a transport-payload rewrite applied to traffic
@@ -147,7 +141,7 @@ func (m *MITM) Start(ctx context.Context) error {
 	m.mu.Unlock()
 	go func() {
 		defer close(done)
-		ticker := time.NewTicker(m.interval)
+		ticker := time.NewTicker(poisonInterval)
 		defer ticker.Stop()
 		for {
 			select {

@@ -525,9 +525,11 @@ func (r *CyberRange) Start(ctx context.Context, realTime bool) error {
 	if _, err := r.Sim.Step(); err != nil {
 		return fmt.Errorf("core: initial power flow: %w", err)
 	}
-	for name, dev := range r.IEDs {
+	// IEDs come up in StepAll's name order, so their R-SV binds and initial
+	// GOOSE publications happen in a fixed order.
+	for _, dev := range r.iedOrder {
 		if err := dev.Serve(); err != nil {
-			return fmt.Errorf("core: IED %s: %w", name, err)
+			return fmt.Errorf("core: IED %s: %w", dev.Name(), err)
 		}
 		dev.Step(time.Now())
 	}

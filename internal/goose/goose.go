@@ -6,9 +6,11 @@
 // IEDs as multicast Ethernet frames with EtherType 0x88B8. Publishers
 // retransmit each state with an increasing interval and bump stNum on state
 // changes / sqNum on retransmissions, exactly the semantics interlocking
-// (CILO, Table II) depends on. Every CILO guard is in its interlocked IED's
-// substation, so GOOSE never crosses the routed WAN and the routable R-GOOSE
-// variant is not modelled (README, "Substitutions").
+// (CILO, Table II) depends on. Publishers are step-driven, like the rest of
+// a device: the owner passes the step time to Publish and calls Step once per
+// step, so retransmissions fall on step boundaries (README, "Substitutions").
+// Every CILO guard is in its interlocked IED's substation, so GOOSE never
+// crosses the routed WAN and the routable R-GOOSE variant is not modelled.
 package goose
 
 import (
@@ -248,10 +250,13 @@ func (d *Decoder) decodePDU(payload []byte) (uint16, ber.TLV, error) {
 	return appID, t, nil
 }
 
+// heartbeat is the longest retransmission interval: a publisher whose state
+// has not changed repeats it once a heartbeat.
+const heartbeat = time.Second
+
 // RetransmissionSchedule returns the delay before the n-th retransmission
 // (n starting at 1): fast initial bursts backing off to the heartbeat, the
-// standard GOOSE profile. The ablation bench compares this against a fixed
-// interval.
+// standard GOOSE profile.
 func RetransmissionSchedule(n int, heartbeat time.Duration) time.Duration {
 	d := 2 * time.Millisecond
 	for i := 1; i < n; i++ {
@@ -268,18 +273,16 @@ func RetransmissionSchedule(n int, heartbeat time.Duration) time.Duration {
 
 // PublisherConfig configures a GOOSE publisher.
 type PublisherConfig struct {
-	GocbRef   string
-	DatSet    string
-	GoID      string
-	AppID     uint16
-	ConfRev   uint32
-	Heartbeat time.Duration // max retransmission interval; default 1 s
-	// FixedInterval, when > 0, disables exponential backoff and retransmits
-	// at this fixed period (ablation mode).
-	FixedInterval time.Duration
+	GocbRef string
+	DatSet  string
+	GoID    string
+	AppID   uint16
+	ConfRev uint32
 }
 
-// Publisher periodically multicasts the current dataset state.
+// Publisher multicasts the current dataset state. It has no timer of its
+// own: Publish sends a new state, and the owner's Step sends the
+// retransmissions that have fallen due, so they land on step boundaries.
 type Publisher struct {
 	cfg  PublisherConfig
 	host *netem.Host
@@ -290,46 +293,37 @@ type Publisher struct {
 	stNum   uint32
 	sqNum   uint32
 	retrans int
-	timer   *time.Timer
-	stopped bool
+	due     time.Time // next retransmission; zero before the first Publish
 	sent    uint64
-	now     func() time.Time
 }
 
 // NewPublisher creates a publisher multicasting on a host NIC.
 func NewPublisher(h *netem.Host, cfg PublisherConfig) *Publisher {
-	if cfg.Heartbeat <= 0 {
-		cfg.Heartbeat = time.Second
-	}
-	return &Publisher{cfg: cfg, host: h, mac: netem.GooseMAC(cfg.AppID), now: time.Now}
+	return &Publisher{cfg: cfg, host: h, mac: netem.GooseMAC(cfg.AppID)}
 }
 
-// Publish announces a new dataset state: stNum increments, sqNum resets, and
-// the retransmission burst restarts. The values are copied into a reused
-// per-publisher buffer, so a steady-state publish allocates nothing.
-func (p *Publisher) Publish(values ...mms.Value) {
+// Publish announces a new dataset state at now: stNum increments, sqNum
+// resets, and the retransmission burst restarts. The values are copied into
+// a reused per-publisher buffer, so a steady-state publish allocates nothing.
+func (p *Publisher) Publish(now time.Time, values ...mms.Value) {
 	p.mu.Lock()
-	if p.stopped {
-		p.mu.Unlock()
-		return
-	}
+	defer p.mu.Unlock()
 	p.values = append(p.values[:0], values...)
 	p.stNum++
 	p.sqNum = 0
 	p.retrans = 0
-	p.sendLocked()
-	p.scheduleLocked()
-	p.mu.Unlock()
+	p.sendLocked(now)
 }
 
-// Stop halts retransmission.
-func (p *Publisher) Stop() {
+// Step retransmits the current state if its retransmission is due at now.
+// It sends at most one frame per call.
+func (p *Publisher) Step(now time.Time) {
 	p.mu.Lock()
-	p.stopped = true
-	if p.timer != nil {
-		p.timer.Stop()
+	defer p.mu.Unlock()
+	if p.stNum == 0 || now.Before(p.due) {
+		return
 	}
-	p.mu.Unlock()
+	p.sendLocked(now)
 }
 
 // Sent reports frames transmitted (including retransmissions).
@@ -346,56 +340,30 @@ func (p *Publisher) StNum() uint32 {
 	return p.stNum
 }
 
-func (p *Publisher) sendLocked() {
-	ttl := 2 * p.nextDelayLocked()
+// sendLocked transmits the current state stamped with now and schedules the
+// next retransmission; the frame's TTL is twice that delay.
+func (p *Publisher) sendLocked(now time.Time) {
+	delay := RetransmissionSchedule(p.retrans+1, heartbeat)
 	msg := Message{
 		GocbRef:   p.cfg.GocbRef,
 		DatSet:    p.cfg.DatSet,
 		GoID:      p.cfg.GoID,
-		Timestamp: p.now(),
+		Timestamp: now,
 		StNum:     p.stNum,
 		SqNum:     p.sqNum,
-		TTLMillis: uint32(ttl / time.Millisecond),
+		TTLMillis: uint32(2 * delay / time.Millisecond),
 		ConfRev:   p.cfg.ConfRev,
 		Values:    p.values,
 	}
 	p.sqNum++
+	p.retrans++
+	p.due = now.Add(delay)
 	// Marshal into a fabric-pooled buffer and hand ownership to the fabric;
 	// the terminal deliverer releases it (zero-allocation warm path).
 	pb := p.host.AllocPayload()
 	pb.B = MarshalAppend(pb.B, p.cfg.AppID, msg)
 	p.host.SendPooled(p.mac, netem.EtherTypeGOOSE, pb)
 	p.sent++
-}
-
-func (p *Publisher) nextDelayLocked() time.Duration {
-	if p.cfg.FixedInterval > 0 {
-		return p.cfg.FixedInterval
-	}
-	return RetransmissionSchedule(p.retrans+1, p.cfg.Heartbeat)
-}
-
-func (p *Publisher) scheduleLocked() {
-	delay := p.nextDelayLocked()
-	p.retrans++
-	if p.timer == nil {
-		p.timer = time.AfterFunc(delay, p.retransmit)
-		return
-	}
-	// Reuse the timer across (re)publishes instead of allocating one per
-	// state change.
-	p.timer.Stop()
-	p.timer.Reset(delay)
-}
-
-func (p *Publisher) retransmit() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.stopped || p.stNum == 0 {
-		return
-	}
-	p.sendLocked()
-	p.scheduleLocked()
 }
 
 // Update is a decoded message delivered to a subscriber, annotated with

@@ -112,89 +112,121 @@ func TestRetransmissionSchedule(t *testing.T) {
 	}
 }
 
+// epoch is the step clock the publisher tests run on.
+var epoch = time.Unix(1_700_000_000, 0)
+
+// nextUpdate reads the subscriber's next update or fails the test.
+func nextUpdate(t *testing.T, sub *Subscriber) Update {
+	t.Helper()
+	select {
+	case u := <-sub.Updates():
+		return u
+	case <-time.After(2 * time.Second):
+		t.Fatal("no GOOSE update delivered")
+		return Update{}
+	}
+}
+
 func TestPublishSubscribe(t *testing.T) {
 	_, hosts := testLAN(t, 3)
 	pub := NewPublisher(hosts[0], PublisherConfig{
 		GocbRef: "IED1LD0/LLN0$GO$gcb1", DatSet: "ds", GoID: "gcb1", AppID: 0x0001, ConfRev: 1,
 	})
-	defer pub.Stop()
 	sub1 := Subscribe(hosts[1], 0x0001)
 	sub2 := Subscribe(hosts[2], 0x0001)
 
-	pub.Publish(mms.NewBool(true))
+	pub.Publish(epoch, mms.NewBool(true))
 	for _, sub := range []*Subscriber{sub1, sub2} {
-		select {
-		case u := <-sub.Updates():
-			if !u.NewState {
-				t.Error("first message not marked new state")
-			}
-			if u.Message.StNum != 1 || u.Message.SqNum != 0 {
-				t.Errorf("st/sq = %d/%d", u.Message.StNum, u.Message.SqNum)
-			}
-			if len(u.Message.Values) != 1 || !u.Message.Values[0].Bool {
-				t.Errorf("values = %v", u.Message.Values)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatal("subscriber missed publication")
+		u := nextUpdate(t, sub)
+		if !u.NewState {
+			t.Error("first message not marked new state")
+		}
+		if u.Message.StNum != 1 || u.Message.SqNum != 0 {
+			t.Errorf("st/sq = %d/%d", u.Message.StNum, u.Message.SqNum)
+		}
+		if len(u.Message.Values) != 1 || !u.Message.Values[0].Bool {
+			t.Errorf("values = %v", u.Message.Values)
 		}
 	}
 }
 
 func TestRetransmissionsArriveWithSameStNum(t *testing.T) {
 	_, hosts := testLAN(t, 2)
-	pub := NewPublisher(hosts[0], PublisherConfig{
-		GocbRef: "ref", AppID: 2, Heartbeat: 50 * time.Millisecond,
-	})
-	defer pub.Stop()
+	pub := NewPublisher(hosts[0], PublisherConfig{GocbRef: "ref", AppID: 2})
 	sub := Subscribe(hosts[1], 2)
-	pub.Publish(mms.NewBool(false))
+	pub.Publish(epoch, mms.NewBool(false))
+	// Step at each due time of the burst: 2 ms, then 4 ms later.
+	pub.Step(epoch.Add(2 * time.Millisecond))
+	pub.Step(epoch.Add(6 * time.Millisecond))
 
-	deadline := time.After(2 * time.Second)
-	var newStates, retrans int
-	for retrans < 2 {
-		select {
-		case u := <-sub.Updates():
-			if u.NewState {
-				newStates++
-			} else {
-				retrans++
-				if u.Message.StNum != 1 {
-					t.Errorf("retransmission stNum = %d", u.Message.StNum)
-				}
-				if u.Message.SqNum == 0 {
-					t.Error("retransmission with sqNum 0")
-				}
-			}
-		case <-deadline:
-			t.Fatalf("timed out: %d new, %d retrans", newStates, retrans)
+	if u := nextUpdate(t, sub); !u.NewState {
+		t.Error("first frame not marked new state")
+	}
+	for want := uint32(1); want <= 2; want++ {
+		u := nextUpdate(t, sub)
+		if u.NewState {
+			t.Errorf("retransmission %d marked new state", want)
+		}
+		if u.Message.StNum != 1 || u.Message.SqNum != want {
+			t.Errorf("retransmission st/sq = %d/%d, want 1/%d", u.Message.StNum, u.Message.SqNum, want)
 		}
 	}
-	if newStates != 1 {
-		t.Errorf("new states = %d, want 1", newStates)
+	if pub.Sent() != 3 {
+		t.Errorf("sent = %d, want 3", pub.Sent())
 	}
-	if pub.Sent() < 3 {
-		t.Errorf("sent = %d", pub.Sent())
+}
+
+func TestStepRetransmitsOnlyWhenDue(t *testing.T) {
+	_, hosts := testLAN(t, 2)
+	pub := NewPublisher(hosts[0], PublisherConfig{GocbRef: "ref", AppID: 7})
+	sub := Subscribe(hosts[1], 7)
+
+	pub.Step(epoch) // nothing published yet: nothing to repeat
+	pub.Publish(epoch, mms.NewInt(1))
+	first := nextUpdate(t, sub)
+	if first.Message.TTLMillis != 4 {
+		t.Errorf("first TTL = %d ms, want 2 x the 2 ms first delay", first.Message.TTLMillis)
+	}
+	pub.Step(epoch.Add(time.Millisecond)) // before the 2 ms due time
+	if pub.Sent() != 1 {
+		t.Fatalf("sent = %d after an early Step, want 1", pub.Sent())
+	}
+
+	due := epoch.Add(2 * time.Millisecond)
+	pub.Step(due)
+	if pub.Sent() != 2 {
+		t.Fatalf("sent = %d after the due Step, want 2", pub.Sent())
+	}
+	u := nextUpdate(t, sub)
+	m := u.Message
+	if u.NewState || m.StNum != first.Message.StNum || m.SqNum != first.Message.SqNum+1 {
+		t.Errorf("retransmission new=%t st/sq = %d/%d, want false %d/%d",
+			u.NewState, m.StNum, m.SqNum, first.Message.StNum, first.Message.SqNum+1)
+	}
+	if want := uint32(2 * RetransmissionSchedule(2, heartbeat) / time.Millisecond); m.TTLMillis != want {
+		t.Errorf("retransmission TTL = %d ms, want %d", m.TTLMillis, want)
+	}
+	if d := m.Timestamp.Sub(due); d < -time.Microsecond || d > time.Microsecond {
+		t.Errorf("retransmission timestamp = %v, want the step time %v", m.Timestamp, due)
+	}
+
+	pub.Step(due) // the next retransmission is 4 ms away
+	if pub.Sent() != 2 {
+		t.Errorf("sent = %d after a second Step at the same time, want 2", pub.Sent())
 	}
 }
 
 func TestStateChangeBumpsStNum(t *testing.T) {
 	_, hosts := testLAN(t, 2)
-	pub := NewPublisher(hosts[0], PublisherConfig{GocbRef: "ref", AppID: 3, Heartbeat: time.Hour})
-	defer pub.Stop()
+	pub := NewPublisher(hosts[0], PublisherConfig{GocbRef: "ref", AppID: 3})
 	sub := Subscribe(hosts[1], 3)
-	pub.Publish(mms.NewBool(false))
-	pub.Publish(mms.NewBool(true))
+	pub.Publish(epoch, mms.NewBool(false))
+	pub.Publish(epoch, mms.NewBool(true))
 
 	var stNums []uint32
-	deadline := time.After(2 * time.Second)
 	for len(stNums) < 2 {
-		select {
-		case u := <-sub.Updates():
-			if u.NewState {
-				stNums = append(stNums, u.Message.StNum)
-			}
-		case <-deadline:
-			t.Fatalf("got stNums %v", stNums)
+		if u := nextUpdate(t, sub); u.NewState {
+			stNums = append(stNums, u.Message.StNum)
 		}
 	}
 	if stNums[0] != 1 || stNums[1] != 2 {
@@ -207,46 +239,12 @@ func TestStateChangeBumpsStNum(t *testing.T) {
 
 func TestSubscriberIgnoresOtherAppIDs(t *testing.T) {
 	_, hosts := testLAN(t, 2)
-	pub := NewPublisher(hosts[0], PublisherConfig{GocbRef: "ref", AppID: 5, Heartbeat: time.Hour})
-	defer pub.Stop()
+	pub := NewPublisher(hosts[0], PublisherConfig{GocbRef: "ref", AppID: 5})
 	sub := Subscribe(hosts[1], 6) // different group
-	pub.Publish(mms.NewBool(true))
+	pub.Publish(epoch, mms.NewBool(true))
 	select {
 	case u := <-sub.Updates():
 		t.Fatalf("unexpected delivery %+v", u)
 	case <-time.After(50 * time.Millisecond):
-	}
-}
-
-func TestFixedIntervalMode(t *testing.T) {
-	_, hosts := testLAN(t, 2)
-	pub := NewPublisher(hosts[0], PublisherConfig{
-		GocbRef: "ref", AppID: 7, FixedInterval: 10 * time.Millisecond,
-	})
-	defer pub.Stop()
-	sub := Subscribe(hosts[1], 7)
-	pub.Publish(mms.NewInt(1))
-	time.Sleep(100 * time.Millisecond)
-	if got := sub.Received(); got < 5 {
-		t.Errorf("fixed-interval retransmissions = %d, want >= 5", got)
-	}
-}
-
-func TestPublisherStopHaltsRetransmission(t *testing.T) {
-	_, hosts := testLAN(t, 2)
-	pub := NewPublisher(hosts[0], PublisherConfig{GocbRef: "ref", AppID: 8, Heartbeat: 10 * time.Millisecond})
-	sub := Subscribe(hosts[1], 8)
-	pub.Publish(mms.NewInt(1))
-	pub.Stop()
-	time.Sleep(30 * time.Millisecond)
-	before := sub.Received()
-	time.Sleep(50 * time.Millisecond)
-	if after := sub.Received(); after != before {
-		t.Errorf("messages still flowing after Stop: %d -> %d", before, after)
-	}
-	pub.Publish(mms.NewInt(2)) // no-op after stop
-	time.Sleep(20 * time.Millisecond)
-	if after := sub.Received(); after != before {
-		t.Error("Publish after Stop transmitted")
 	}
 }

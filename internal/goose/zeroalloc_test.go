@@ -191,12 +191,9 @@ func TestPooledPublishDeliversIdenticalBytes(t *testing.T) {
 		defer n.Stop()
 		pub := NewPublisher(pubHost, PublisherConfig{
 			GocbRef: "g1", DatSet: "ds", GoID: "go", AppID: 0x0001, ConfRev: 1,
-			FixedInterval: time.Hour, // no retransmissions during the test
 		})
-		pub.now = func() time.Time { return time.Unix(1_700_000_000, 0) }
-		defer pub.Stop()
 		for i := 0; i < 10; i++ {
-			pub.Publish(mms.NewBool(i%2 == 0), mms.NewFloat(float64(i)))
+			pub.Publish(time.Unix(1_700_000_000, 0), mms.NewBool(i%2 == 0), mms.NewFloat(float64(i)))
 		}
 		deadline := time.Now().Add(2 * time.Second)
 		for log.len() < 10 {

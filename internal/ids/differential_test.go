@@ -46,12 +46,11 @@ func TestVerdictsIdenticalOnPooledAndReferencePaths(t *testing.T) {
 
 		// Legit GOOSE traffic on the pooled publisher path.
 		gp := goose.NewPublisher(pub, goose.PublisherConfig{
-			GocbRef: "g1", AppID: 0x0001, FixedInterval: time.Hour,
+			GocbRef: "g1", AppID: 0x0001,
 		})
-		defer gp.Stop()
 		gsub := goose.Subscribe(sub, 0x0001)
 		for i := 0; i < 5; i++ {
-			gp.Publish(mms.NewBool(i%2 == 0))
+			gp.Publish(time.Unix(1_700_000_000, 0), mms.NewBool(i%2 == 0))
 		}
 		waitCond(t, "legit goose", func() bool { return gsub.Received() >= 5 })
 		awaitQuiet(t, sensor)

@@ -169,12 +169,12 @@ func TestDetectsPortScan(t *testing.T) {
 func TestDetectsGooseReplay(t *testing.T) {
 	r := newRig(t)
 	pub := goose.NewPublisher(r.client, goose.PublisherConfig{
-		GocbRef: "IEDLD0/LLN0$GO$gcb1", AppID: 0x0001, Heartbeat: time.Hour,
+		GocbRef: "IEDLD0/LLN0$GO$gcb1", AppID: 0x0001,
 	})
-	defer pub.Stop()
-	pub.Publish(mms.NewBool(true))
-	pub.Publish(mms.NewBool(false))    // stNum 2
-	time.Sleep(150 * time.Millisecond) // beyond the replay grace window
+	now := time.Unix(1_700_000_000, 0)
+	pub.Publish(now, mms.NewBool(true))
+	pub.Publish(now, mms.NewBool(false)) // stNum 2
+	time.Sleep(150 * time.Millisecond)   // beyond the replay grace window
 	if alerts := r.sensor.AlertsOf(AlertGooseAnomaly); len(alerts) != 0 {
 		t.Fatalf("legit GOOSE alerted: %+v", alerts)
 	}

@@ -13,8 +13,9 @@
 // optional R-SV publish/subscribe (PDIF differential exchange across the
 // WAN), and a protection evaluation (Step) coupled to the simulator through
 // the kv bus, which the range's step engine calls once per simulation
-// interval. R-GOOSE is not modelled: no model interlocks across substations
-// (README, "Substitutions").
+// interval. Step also drives all of the IED's GOOSE and R-SV I/O, stamped
+// with the step time. R-GOOSE is not modelled: no model interlocks across
+// substations (README, "Substitutions").
 package ied
 
 import (
@@ -242,11 +243,8 @@ func (d *IED) Serve() error {
 	return nil
 }
 
-// Stop halts the publishers and servers.
+// Stop closes the R-SV sockets and the MMS server.
 func (d *IED) Stop() {
-	if d.gpub != nil {
-		d.gpub.Stop()
-	}
 	if d.rpub != nil {
 		d.rpub.Stop()
 	}
@@ -255,6 +253,9 @@ func (d *IED) Stop() {
 	}
 	d.srv.Close()
 }
+
+// Name returns the IED's name.
+func (d *IED) Name() string { return d.cfg.Name }
 
 // Server exposes the MMS server (the range's SCADA/PLC dials it).
 func (d *IED) Server() *mms.Server { return d.srv }
@@ -316,9 +317,10 @@ func (d *IED) operateBreaker(breaker string, closeIt bool) error {
 }
 
 // Step performs one acquisition + protection pass at the given instant,
-// writing actuation commands directly to the bus. GOOSE/R-SV publications
-// are emitted immediately; peers consume them through asynchronous
-// per-device delivery. A single IED must not be stepped concurrently.
+// writing actuation commands directly to the bus. It is the only driver of
+// the IED's GOOSE and R-SV I/O: it drains both subscriptions, then sends
+// GOOSE state changes, the retransmission due at now and one R-SV sample,
+// all stamped with now. A single IED must not be stepped concurrently.
 func (d *IED) Step(now time.Time) {
 	d.mu.Lock()
 	d.steps++
@@ -326,10 +328,13 @@ func (d *IED) Step(now time.Time) {
 
 	d.drainSubscriptions(now)
 	vm, ika := d.refreshMeasurements()
-	d.refreshBreakerStatus()
+	d.refreshBreakerStatus(now)
 	d.evaluateProtection(now, vm, ika)
+	if d.gpub != nil {
+		d.gpub.Step(now)
+	}
 	if d.rpub != nil {
-		d.rpub.PublishNow()
+		d.rpub.PublishNow(now)
 	}
 }
 
@@ -337,6 +342,7 @@ func (d *IED) Step(now time.Time) {
 // current) messages without blocking.
 func (d *IED) drainSubscriptions(now time.Time) {
 	if d.gsub != nil {
+	drain:
 		for {
 			select {
 			case u := <-d.gsub.Updates():
@@ -347,25 +353,19 @@ func (d *IED) drainSubscriptions(now time.Time) {
 					d.mu.Unlock()
 				}
 			default:
-				goto goose_done
+				break drain
 			}
 		}
 	}
-goose_done:
 	if d.rsub != nil {
-		for {
-			select {
-			case s := <-d.rsub.Samples():
-				if len(s.Values) >= 1 && s.SvID != d.cfg.Name {
-					d.mu.Lock()
-					d.remoteIKA = s.Values[0]
-					d.remoteAt = now
-					d.mu.Unlock()
-				}
-			default:
-				return
+		d.rsub.Poll(func(s sv.Sample) {
+			if len(s.Values) >= 1 && s.SvID != d.cfg.Name {
+				d.mu.Lock()
+				d.remoteIKA = s.Values[0]
+				d.remoteAt = now
+				d.mu.Unlock()
 			}
-		}
+		})
 	}
 }
 
@@ -395,7 +395,7 @@ func (d *IED) refreshMeasurements() (vmPU, iKA float64) {
 
 // refreshBreakerStatus mirrors simulator breaker states into the data model
 // and publishes GOOSE on change.
-func (d *IED) refreshBreakerStatus() {
+func (d *IED) refreshBreakerStatus(now time.Time) {
 	changed := false
 	var statuses []mms.Value
 	for i, cb := range d.breakers {
@@ -414,7 +414,7 @@ func (d *IED) refreshBreakerStatus() {
 			d.logEvent(EventStatusChange, "XCBR", fmt.Sprintf("breaker %s closed=%t", cb, d.lastStatusOf(cb)))
 		}
 		if d.gpub != nil {
-			d.gpub.Publish(statuses...)
+			d.gpub.Publish(now, statuses...)
 		}
 	}
 }
@@ -504,13 +504,13 @@ func (d *IED) applyFunction(now time.Time, fn string, ps *protState, violated bo
 	}
 	d.mu.Unlock()
 	if shouldTrip {
-		d.trip(fn, detail)
+		d.trip(now, fn, detail)
 	}
 }
 
 // trip opens every controlled breaker, raises the protection status and
 // publishes a GOOSE trip event.
-func (d *IED) trip(fn, detail string) {
+func (d *IED) trip(now time.Time, fn, detail string) {
 	d.srv.Update(RefProtTrip(fn), mms.NewBool(true))
 	for _, cb := range d.breakers {
 		d.bus.SetBool(kvbus.BreakerCmdKey(d.cfg.Substation, cb), false)
@@ -518,8 +518,7 @@ func (d *IED) trip(fn, detail string) {
 	d.logEvent(EventTrip, fn, detail)
 	d.srv.Report(RefProtTrip(fn), mms.NewBool(true))
 	if d.gpub != nil {
-		vals := []mms.Value{mms.NewBool(false), mms.NewString(fn + " trip")}
-		d.gpub.Publish(vals...)
+		d.gpub.Publish(now, mms.NewBool(false), mms.NewString(fn+" trip"))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/netem"
@@ -20,19 +21,23 @@ var (
 type ReportHandler func(ref ObjectReference, v Value)
 
 // Client is an MMS client association, used by SCADA, PLCs — and attackers
-// injecting false commands (§IV-B).
+// injecting false commands (§IV-B). Like modbus.Client it has no goroutine of
+// its own: each request writes, then reads the association on the caller's
+// goroutine until its own response arrives. Unsolicited reports read on the
+// way go to OnReport, so a report reaches the handler during the client's
+// next request.
 type Client struct {
-	mu         sync.Mutex
-	conn       *netem.TCPConn
-	nextID     uint32
-	pending    map[uint32]chan pdu
-	onReport   ReportHandler
-	closed     bool
-	timeout    time.Duration
-	vendor     string
+	mu       sync.Mutex // serialises requests; guards frames
+	conn     *netem.TCPConn
+	frames   frameReader
+	nextID   atomic.Uint32
+	closed   atomic.Bool
+	onReport ReportHandler
+	timeout  time.Duration
+
+	// From the initiate response; fixed once Dial returns.
 	peerVendor string
 	peerModel  string
-	readerDone chan struct{}
 }
 
 // DialOptions tunes the client.
@@ -58,79 +63,67 @@ func Dial(h *netem.Host, ip netem.IPv4, port uint16, opts DialOptions) (*Client,
 	if err != nil {
 		return nil, fmt.Errorf("mms: dial %s:%d: %w", ip, port, err)
 	}
-	c := &Client{
-		conn:       conn,
-		pending:    make(map[uint32]chan pdu),
-		onReport:   opts.OnReport,
-		timeout:    opts.Timeout,
-		vendor:     opts.Vendor,
-		readerDone: make(chan struct{}),
-	}
-	// Initiate handshake happens before the reader goroutine owns the conn.
-	if err := writeFrame(conn, encodeInitiateRequest(nil, opts.Vendor)); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	conn.SetReadDeadline(time.Now().Add(opts.Timeout))
-	payload, err := readFrame(conn)
+	c := &Client{conn: conn, frames: frameReader{r: conn}, onReport: opts.OnReport, timeout: opts.Timeout}
+	p, err := c.roundTrip(encodeInitiateRequest(nil, opts.Vendor), 0)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("%w: initiate: %v", ErrNoInitiate, err)
-	}
-	p, err := decodePDU(payload)
-	if err != nil || p.kind != tagInitiateResponse {
-		conn.Close()
-		return nil, fmt.Errorf("%w: unexpected initiate response", ErrNoInitiate)
 	}
 	if len(p.body.Children) >= 3 {
 		c.peerVendor = p.body.Children[1].String()
 		c.peerModel = p.body.Children[2].String()
 	}
-	conn.SetReadDeadline(time.Time{})
-	go c.readLoop()
 	return c, nil
 }
 
 // PeerIdentity returns the server's vendor and model from the initiate
 // response.
 func (c *Client) PeerIdentity() (vendor, model string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.peerVendor, c.peerModel
 }
 
-func (c *Client) readLoop() {
-	defer close(c.readerDone)
+// roundTrip writes one request and reads the association until the PDU
+// answering it arrives: the initiate response for id 0, else the confirmed
+// response or error carrying invoke ID id. Reports read on the way go to
+// OnReport. Anything else, such as the late answer to an earlier request
+// that timed out, is skipped.
+func (c *Client) roundTrip(req []byte, id uint32) (pdu, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed.Load() {
+		return pdu{}, ErrClientClosed
+	}
+	if err := writeFrame(c.conn, req); err != nil {
+		return pdu{}, err
+	}
+	c.conn.SetReadTimeout(c.timeout)
 	for {
-		payload, err := readFrame(c.conn)
+		payload, err := c.frames.next()
 		if err != nil {
-			c.failAll()
-			return
+			var te interface{ Timeout() bool }
+			if errors.As(err, &te) && te.Timeout() {
+				return pdu{}, ErrTimeout
+			}
+			return pdu{}, ErrClientClosed
 		}
 		p, err := decodePDU(payload)
 		if err != nil {
 			continue // tolerate garbage mid-association (tampering experiments)
 		}
-		switch p.kind {
-		case tagConfirmedResponse, tagConfirmedError:
-			c.mu.Lock()
-			ch := c.pending[p.invokeID]
-			delete(c.pending, p.invokeID)
-			c.mu.Unlock()
-			if ch != nil {
-				ch <- p
-			}
-		case tagUnconfirmed:
+		switch {
+		case p.kind == tagUnconfirmed:
 			c.deliverReport(p)
+		case id == 0 && p.kind == tagInitiateResponse,
+			id != 0 && p.kind == tagConfirmedResponse && p.invokeID == id:
+			return p, nil
+		case id != 0 && p.kind == tagConfirmedError && p.invokeID == id:
+			return pdu{}, errorFromCode(p.errCode)
 		}
 	}
 }
 
 func (c *Client) deliverReport(p pdu) {
-	c.mu.Lock()
-	h := c.onReport
-	c.mu.Unlock()
-	if h == nil || len(p.body.Children) == 0 {
+	if c.onReport == nil || len(p.body.Children) == 0 {
 		return
 	}
 	svc := p.body.Children[0]
@@ -145,64 +138,13 @@ func (c *Client) deliverReport(p pdu) {
 	if err != nil {
 		return
 	}
-	h(ref, v)
-}
-
-func (c *Client) failAll() {
-	c.mu.Lock()
-	for id, ch := range c.pending {
-		delete(c.pending, id)
-		close(ch)
-	}
-	c.mu.Unlock()
-}
-
-// roundTrip sends a confirmed request and waits for its response.
-func (c *Client) roundTrip(id uint32, payload []byte) (pdu, error) {
-	ch := make(chan pdu, 1)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return pdu{}, ErrClientClosed
-	}
-	c.pending[id] = ch
-	c.mu.Unlock()
-
-	if err := writeFrame(c.conn, payload); err != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return pdu{}, err
-	}
-	select {
-	case p, ok := <-ch:
-		if !ok {
-			return pdu{}, ErrClientClosed
-		}
-		if p.kind == tagConfirmedError {
-			return pdu{}, errorFromCode(p.errCode)
-		}
-		return p, nil
-	case <-time.After(c.timeout):
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return pdu{}, ErrTimeout
-	}
-}
-
-func (c *Client) allocID() uint32 {
-	c.mu.Lock()
-	c.nextID++
-	id := c.nextID
-	c.mu.Unlock()
-	return id
+	c.onReport(ref, v)
 }
 
 // Read fetches the value of an object.
 func (c *Client) Read(ref ObjectReference) (Value, error) {
-	id := c.allocID()
-	p, err := c.roundTrip(id, encodeReadRequest(nil, id, ref))
+	id := c.nextID.Add(1)
+	p, err := c.roundTrip(encodeReadRequest(nil, id, ref), id)
 	if err != nil {
 		return Value{}, fmt.Errorf("mms: read %s: %w", ref, err)
 	}
@@ -220,8 +162,8 @@ func (c *Client) Read(ref ObjectReference) (Value, error) {
 // Write sets the value of an object (the control primitive: a breaker-open
 // command is a Write to the XCBR Pos.Oper object).
 func (c *Client) Write(ref ObjectReference, v Value) error {
-	id := c.allocID()
-	if _, err := c.roundTrip(id, encodeWriteRequest(nil, id, ref, v)); err != nil {
+	id := c.nextID.Add(1)
+	if _, err := c.roundTrip(encodeWriteRequest(nil, id, ref, v), id); err != nil {
 		return fmt.Errorf("mms: write %s: %w", ref, err)
 	}
 	return nil
@@ -229,8 +171,8 @@ func (c *Client) Write(ref ObjectReference, v Value) error {
 
 // GetNameList lists object references, optionally filtered by prefix.
 func (c *Client) GetNameList(prefix string) ([]string, error) {
-	id := c.allocID()
-	p, err := c.roundTrip(id, encodeGetNameListRequest(nil, id, prefix))
+	id := c.nextID.Add(1)
+	p, err := c.roundTrip(encodeGetNameListRequest(nil, id, prefix), id)
 	if err != nil {
 		return nil, fmt.Errorf("mms: getNameList: %w", err)
 	}
@@ -242,20 +184,12 @@ func (c *Client) GetNameList(prefix string) ([]string, error) {
 	return names, nil
 }
 
-// Close concludes the association.
+// Close concludes the association. A request in flight on another goroutine
+// returns ErrClientClosed.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if c.closed.Swap(true) {
 		return nil
 	}
-	c.closed = true
-	c.mu.Unlock()
 	_ = writeFrame(c.conn, encodeConclude(nil))
-	err := c.conn.Close()
-	select {
-	case <-c.readerDone:
-	case <-time.After(time.Second):
-	}
-	return err
+	return c.conn.Close()
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/ber"
@@ -48,7 +49,7 @@ var (
 	ErrTooLarge = errors.New("mms: message exceeds maximum size")
 )
 
-// maxMessage bounds a single MMS message (framing sanity limit).
+// maxMessage is the largest message size announced in the initiate exchange.
 const maxMessage = 1 << 20
 
 // pdu is a decoded MMS message.
@@ -85,24 +86,41 @@ func writeFrameReuse(w io.Writer, scratch, payload []byte) ([]byte, error) {
 	return buf, err
 }
 
-// readFrame reads one TPKT-style frame.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+// frameReader splits a stream into TPKT-style frames. It reads into one
+// reused buffer, and the bytes of a frame cut short by a read deadline stay
+// buffered, so a timed-out read leaves the stream in step for the next one.
+type frameReader struct {
+	r   io.Reader
+	buf []byte // buf[off:] is received but not yet returned
+	off int
+}
+
+// next returns the next frame's payload, valid until the following call.
+func (f *frameReader) next() ([]byte, error) {
+	for {
+		rest := f.buf[f.off:]
+		if len(rest) >= 4 {
+			total := int(binary.BigEndian.Uint16(rest[2:]))
+			if rest[0] != 0x03 || total < 4 {
+				return nil, fmt.Errorf("%w: header % x", ErrFraming, rest[:4])
+			}
+			if len(rest) >= total {
+				f.off += total
+				return rest[4:total], nil
+			}
+		}
+		// The last payload returned is dead now: slide the unread bytes to
+		// the front, and grow the buffer only when they already fill it.
+		f.buf, f.off = f.buf[:copy(f.buf, rest)], 0
+		if len(f.buf) == cap(f.buf) {
+			f.buf = slices.Grow(f.buf, max(len(f.buf), 256))
+		}
+		n, err := f.r.Read(f.buf[len(f.buf):cap(f.buf)])
+		f.buf = f.buf[:len(f.buf)+n]
+		if err != nil {
+			return nil, err
+		}
 	}
-	if hdr[0] != 0x03 {
-		return nil, fmt.Errorf("%w: version 0x%02x", ErrFraming, hdr[0])
-	}
-	total := int(binary.BigEndian.Uint16(hdr[2:]))
-	if total < 4 || total > maxMessage {
-		return nil, fmt.Errorf("%w: length %d", ErrFraming, total)
-	}
-	payload := make([]byte, total-4)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
-	}
-	return payload, nil
 }
 
 // encodeValue appends the MMS Data encoding of v.

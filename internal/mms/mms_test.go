@@ -2,6 +2,7 @@ package mms
 
 import (
 	"errors"
+	"io"
 	"math"
 	"sync"
 	"testing"
@@ -13,6 +14,13 @@ import (
 
 // testPair builds a started LAN with a server host and a client host.
 func testPair(t *testing.T) (*netem.Host, *netem.Host) {
+	t.Helper()
+	_, srv, cli := testNet(t)
+	return srv, cli
+}
+
+// testNet is testPair that also returns the network, for link impairments.
+func testNet(t *testing.T) (*netem.Network, *netem.Host, *netem.Host) {
 	t.Helper()
 	n := netem.NewNetwork()
 	if _, err := netem.NewSwitch(n, "sw", 4); err != nil {
@@ -36,7 +44,7 @@ func testPair(t *testing.T) (*netem.Host, *netem.Host) {
 		t.Fatal(err)
 	}
 	t.Cleanup(n.Stop)
-	return srv, cli
+	return n, srv, cli
 }
 
 func TestValueRoundTripProperty(t *testing.T) {
@@ -255,11 +263,13 @@ func TestInformationReports(t *testing.T) {
 	}
 	defer srv.Close()
 
-	got := make(chan Value, 1)
+	// The client reads reports on its own requests, so the handler runs on
+	// the requesting goroutine and needs no locking.
+	var got []Value
 	cli, err := Dial(cliHost, srvHost.IP(), 0, DialOptions{
 		OnReport: func(ref ObjectReference, v Value) {
 			if ref == "LD0/PTOC1.Op.general" {
-				got <- v
+				got = append(got, v)
 			}
 		},
 	})
@@ -268,14 +278,55 @@ func TestInformationReports(t *testing.T) {
 	}
 	defer cli.Close()
 
+	// A report sent right after Dial precedes the next response on the
+	// association, so OnReport has fired by the time that Read returns.
 	srv.Report("LD0/PTOC1.Op.general", NewBool(true))
-	select {
-	case v := <-got:
-		if !v.Bool {
-			t.Error("report value false")
+	if _, err := cli.Read("LD0/PTOC1.Op.general"); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || !got[0].Bool {
+		t.Fatalf("reports before Read returned = %v, want one true", got)
+	}
+}
+
+func TestLateResponseIsSkipped(t *testing.T) {
+	n, srvHost, cliHost := testNet(t)
+	srv := NewServer("SGML", "vIED")
+	srv.Define("LD0/A.v", NewInt(1))
+	srv.Define("LD0/B.v", NewInt(2))
+	if err := srv.Serve(srvHost, 0); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	const timeout = 200 * time.Millisecond
+	cli, err := Dial(cliHost, srvHost.IP(), 0, DialOptions{Timeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	// A link slower than the client timeout: the first Read gives up.
+	link := n.LinkBetween("cli", "sw")
+	link.SetLatency(5 * timeout)
+	if _, err := cli.Read("LD0/A.v"); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("read over the slow link = %v, want ErrTimeout", err)
+	}
+	// Heal the link and wait for the server to answer the abandoned Read;
+	// its late response now sits ahead of the next one on the association.
+	link.SetLatency(0)
+	deadline := time.Now().Add(2 * time.Second)
+	for reads, _ := srv.Stats(); reads < 1; reads, _ = srv.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatal("server never saw the abandoned Read")
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no report delivered")
+		time.Sleep(time.Millisecond)
+	}
+	v, err := cli.Read("LD0/B.v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Int != 2 {
+		t.Errorf("second Read = %v, want its own value 2 (not the late answer 1)", v)
 	}
 }
 
@@ -357,6 +408,48 @@ func TestDecodePDUErrors(t *testing.T) {
 		if _, err := decodePDU(b); err == nil {
 			t.Errorf("decodePDU(%x) succeeded", b)
 		}
+	}
+}
+
+// chunkReader replays reads one step at a time: a chunk of bytes, or an
+// error when the chunk is nil.
+type chunkReader struct {
+	chunks [][]byte
+	err    error
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	if len(r.chunks) == 0 {
+		return 0, io.EOF
+	}
+	c := r.chunks[0]
+	r.chunks = r.chunks[1:]
+	if c == nil {
+		return 0, r.err
+	}
+	return copy(p, c), nil
+}
+
+func TestFrameReaderKeepsPartialFrameAcrossTimeout(t *testing.T) {
+	// Two frames; the first is cut short by a read timeout after its header
+	// and one payload byte. The bytes read so far stay buffered, so the next
+	// call completes the frame instead of misreading the rest as a header.
+	timeout := errors.New("deadline")
+	r := &chunkReader{err: timeout, chunks: [][]byte{
+		{0x03, 0x00, 0x00, 0x07, 'a'}, nil, {'b', 'c', 0x03, 0x00, 0x00, 0x05}, {'d'},
+	}}
+	f := frameReader{r: r}
+	if _, err := f.next(); !errors.Is(err, timeout) {
+		t.Fatalf("first next = %v, want the timeout", err)
+	}
+	for _, want := range []string{"abc", "d"} {
+		got, err := f.next()
+		if err != nil || string(got) != want {
+			t.Fatalf("next = %q, %v; want %q", got, err, want)
+		}
+	}
+	if _, err := f.next(); !errors.Is(err, io.EOF) {
+		t.Errorf("next at end = %v, want io.EOF", err)
 	}
 }
 

@@ -42,11 +42,9 @@ type Server struct {
 	vars      map[ObjectReference]Value
 	handlers  map[ObjectReference]WriteHandler
 	readOnly  map[ObjectReference]bool
-	listener  *netem.Listener
-	conns     map[*netem.TCPConn]bool
+	tcp       *netem.TCPServer
 	reporters map[*netem.TCPConn]bool
 	closed    bool
-	wg        sync.WaitGroup
 
 	// Stats for the experiment harness.
 	reads  uint64
@@ -61,7 +59,6 @@ func NewServer(vendor, model string) *Server {
 		vars:      make(map[ObjectReference]Value),
 		handlers:  make(map[ObjectReference]WriteHandler),
 		readOnly:  make(map[ObjectReference]bool),
-		conns:     make(map[*netem.TCPConn]bool),
 		reporters: make(map[*netem.TCPConn]bool),
 	}
 }
@@ -131,66 +128,28 @@ func (s *Server) Serve(h *netem.Host, port uint16) error {
 	if port == 0 {
 		port = DefaultPort
 	}
-	ln, err := h.ListenTCP(port)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrServerClosed
+	}
+	tcp, err := h.ServeTCP(port, s.serveConn)
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		ln.Close()
-		return ErrServerClosed
-	}
-	s.listener = ln
-	s.mu.Unlock()
-
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			s.mu.Lock()
-			if s.closed {
-				s.mu.Unlock()
-				conn.Close()
-				return
-			}
-			s.conns[conn] = true
-			s.mu.Unlock()
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				s.serveConn(conn)
-			}()
-		}
-	}()
+	s.tcp = tcp
 	return nil
 }
 
 // Close stops the server and tears down associations.
 func (s *Server) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
 	s.closed = true
-	ln := s.listener
-	conns := make([]*netem.TCPConn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
+	tcp := s.tcp
 	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
+	if tcp != nil {
+		tcp.Close()
 	}
-	for _, c := range conns {
-		c.Close()
-	}
-	s.wg.Wait()
 }
 
 // Report pushes an information report for ref to every associated client
@@ -212,19 +171,19 @@ func (s *Server) Report(ref ObjectReference, v Value) {
 
 func (s *Server) serveConn(conn *netem.TCPConn) {
 	defer func() {
-		conn.Close()
 		s.mu.Lock()
-		delete(s.conns, conn)
 		delete(s.reporters, conn)
 		s.mu.Unlock()
 	}()
-	// Per-connection scratch: the TLV arena and one frame buffer are reused
-	// across requests, so the steady-state request/response loop (a PLC's
-	// per-scan reads) is allocation-light. The response PDU is encoded in
-	// place after a reserved 4-byte TPKT header (the MarshalAppend pattern),
-	// so each reply is built and written without an intermediate copy. Safe
-	// because each pdu is fully consumed before the next decode.
+	// Per-connection scratch: the read buffer, the TLV arena and one frame
+	// buffer are reused across requests, so the steady-state
+	// request/response loop (a PLC's per-scan reads) is allocation-light.
+	// The response PDU is encoded in place after a reserved 4-byte TPKT
+	// header (the MarshalAppend pattern), so each reply is built and written
+	// without an intermediate copy. Safe because each pdu is fully consumed
+	// before the next decode.
 	var (
+		frames   = frameReader{r: conn}
 		dec      ber.Decoder
 		frameBuf []byte
 	)
@@ -244,7 +203,7 @@ func (s *Server) serveConn(conn *netem.TCPConn) {
 		return err
 	}
 	for {
-		payload, err := readFrame(conn)
+		payload, err := frames.next()
 		if err != nil {
 			return
 		}

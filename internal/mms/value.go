@@ -10,9 +10,16 @@
 // command injection case study (§IV-B) crafts standard-compliant PDUs with
 // this same client, exactly as IEC61850bean does on the original range.
 //
+// The server runs one goroutine per association on netem's shared TCP
+// server loop (Host.ServeTCP). The client runs none: each request reads the
+// association on the caller's goroutine until its own response arrives,
+// handing information reports met on the way to OnReport and skipping the
+// late answers of requests that timed out. A report therefore reaches the
+// handler during the client's next request.
+//
 // The OSI lower layers (TPKT/COTP/session/presentation) are collapsed into a
-// 4-byte TPKT-style framing header; README, "Substitutions", records this
-// substitution.
+// 4-byte TPKT-style framing header; README, "Substitutions", records both
+// substitutions.
 package mms
 
 import (

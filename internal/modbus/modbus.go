@@ -112,10 +112,8 @@ type Server struct {
 	input    []uint16
 	onCoil   CoilWriteHook
 	onReg    RegWriteHook
-	listener *netem.Listener
-	conns    map[*netem.TCPConn]bool
+	tcp      *netem.TCPServer
 	closed   bool
-	wg       sync.WaitGroup
 	requests uint64
 }
 
@@ -126,7 +124,6 @@ func NewServer(coils, discrete, holding, input int) *Server {
 		discrete: make([]bool, discrete),
 		holding:  make([]uint16, holding),
 		input:    make([]uint16, input),
-		conns:    make(map[*netem.TCPConn]bool),
 	}
 }
 
@@ -232,74 +229,31 @@ func (s *Server) Serve(h *netem.Host, port uint16) error {
 	if port == 0 {
 		port = DefaultPort
 	}
-	ln, err := h.ListenTCP(port)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
+	tcp, err := h.ServeTCP(port, s.serveConn)
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		ln.Close()
-		return ErrClosed
-	}
-	s.listener = ln
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			s.mu.Lock()
-			if s.closed {
-				s.mu.Unlock()
-				conn.Close()
-				return
-			}
-			s.conns[conn] = true
-			s.mu.Unlock()
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				s.serveConn(conn)
-			}()
-		}
-	}()
+	s.tcp = tcp
 	return nil
 }
 
 // Close stops the server.
 func (s *Server) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
 	s.closed = true
-	ln := s.listener
-	conns := make([]*netem.TCPConn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
+	tcp := s.tcp
 	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
+	if tcp != nil {
+		tcp.Close()
 	}
-	for _, c := range conns {
-		c.Close()
-	}
-	s.wg.Wait()
 }
 
 func (s *Server) serveConn(conn *netem.TCPConn) {
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
 	for {
 		hdr, pdu, err := readADU(conn)
 		if err != nil {
@@ -528,7 +482,7 @@ func (c *Client) roundTrip(pdu []byte) ([]byte, error) {
 	if err := writeADU(c.conn, mbap{txID: c.txID, unitID: 1}, pdu); err != nil {
 		return nil, err
 	}
-	c.conn.SetReadDeadline(time.Now().Add(c.timeout))
+	c.conn.SetReadTimeout(c.timeout)
 	defer c.conn.SetReadDeadline(time.Time{})
 	hdr, resp, err := readADU(c.conn)
 	if err != nil {

@@ -9,7 +9,9 @@
 // UDP stack and a reliable TCP-like stream transport, promiscuous capture,
 // and raw frame injection. ARP is a real protocol here — the MITM case study
 // (§IV-B, Fig 6) works by actual cache poisoning, exactly as on the Mininet
-// range.
+// range. Host.ServeTCP is the one accept loop the protocol servers (MMS,
+// Modbus) share: it runs a handler per connection and its Close tears down
+// the listener and every live connection, then waits for the handlers.
 //
 // Delivery is asynchronous: every device runs a worker goroutine draining a
 // FIFO queue that grows on demand up to a fixed bound, so the fabric exhibits

@@ -8,18 +8,6 @@ import (
 	"time"
 )
 
-// Conn is the stream interface exposed to the protocol stacks (MMS, Modbus).
-// It is a deliberate subset of net.Conn: the range's protocol servers only
-// need reads with deadlines, writes and close.
-type Conn interface {
-	Read(p []byte) (int, error)
-	Write(p []byte) (int, error)
-	Close() error
-	LocalAddr() string
-	RemoteAddr() string
-	SetReadDeadline(t time.Time) error
-}
-
 const (
 	tcpMSS          = 1200
 	tcpWindowSegs   = 32
@@ -110,6 +98,12 @@ func (c *TCPConn) SetReadDeadline(t time.Time) error {
 		time.AfterFunc(d+time.Millisecond, c.readCond.Broadcast)
 	}
 	return nil
+}
+
+// SetReadTimeout bounds future Read calls to d from now. It keeps the
+// wall-clock read inside the transport, which owns the wall-clock timers.
+func (c *TCPConn) SetReadTimeout(d time.Duration) error {
+	return c.SetReadDeadline(time.Now().Add(d))
 }
 
 // timeoutError matches net.Error-style timeout checks.
@@ -391,16 +385,82 @@ func (l *Listener) Close() error {
 		return nil
 	}
 	l.closed = true
+	close(l.accept) // under mu: handleTCP sends only while it holds mu
 	l.mu.Unlock()
 	l.host.mu.Lock()
 	delete(l.host.listeners, l.port)
 	l.host.mu.Unlock()
-	close(l.accept)
 	return nil
 }
 
 // Port returns the bound port.
 func (l *Listener) Port() uint16 { return l.port }
+
+// TCPServer runs a handler per accepted connection on a host port: the
+// accept loop, live-connection set and handler accounting that every
+// protocol server (MMS, Modbus) needs around its per-connection loop.
+type TCPServer struct {
+	ln *Listener
+	wg sync.WaitGroup
+
+	mu    sync.Mutex
+	conns map[*TCPConn]bool // nil once closed
+}
+
+// ServeTCP listens on port and runs handle on its own goroutine for each
+// accepted connection, closing the connection when handle returns. It
+// returns at once; Close stops the server.
+func (h *Host) ServeTCP(port uint16, handle func(*TCPConn)) (*TCPServer, error) {
+	ln, err := h.ListenTCP(port)
+	if err != nil {
+		return nil, err
+	}
+	s := &TCPServer{ln: ln, conns: make(map[*TCPConn]bool)}
+	s.wg.Add(1)
+	go s.accept(handle)
+	return s, nil
+}
+
+func (s *TCPServer) accept(handle func(*TCPConn)) {
+	defer s.wg.Done()
+	for {
+		conn, err := s.ln.Accept()
+		if err != nil {
+			return
+		}
+		s.mu.Lock()
+		if s.conns == nil {
+			s.mu.Unlock()
+			conn.Close()
+			return
+		}
+		s.conns[conn] = true
+		s.wg.Add(1)
+		s.mu.Unlock()
+		go func() {
+			defer s.wg.Done()
+			handle(conn)
+			conn.Close()
+			s.mu.Lock()
+			delete(s.conns, conn)
+			s.mu.Unlock()
+		}()
+	}
+}
+
+// Close stops accepting, closes every live connection and waits for the
+// handlers to return. Closing twice is harmless.
+func (s *TCPServer) Close() {
+	s.mu.Lock()
+	conns := s.conns
+	s.conns = nil
+	s.mu.Unlock()
+	s.ln.Close()
+	for c := range conns {
+		c.Close()
+	}
+	s.wg.Wait()
+}
 
 // ListenTCP binds a TCP-lite listener.
 func (h *Host) ListenTCP(port uint16) (*Listener, error) {
@@ -485,17 +545,20 @@ func (h *Host) handleTCP(src IPv4, seg tcpSegment) {
 		go func() {
 			select {
 			case <-c.estCh:
+				// Send under the listener's lock, so Close cannot close the
+				// accept channel between the closed check and the send.
 				listener.mu.Lock()
-				closed := listener.closed
-				listener.mu.Unlock()
-				if closed {
-					_ = c.Close()
-					return
+				queued := false
+				if !listener.closed {
+					select {
+					case listener.accept <- c:
+						queued = true
+					default: // accept backlog full
+					}
 				}
-				select {
-				case listener.accept <- c:
-				default:
-					_ = c.Close() // accept backlog full
+				listener.mu.Unlock()
+				if !queued {
+					_ = c.Close()
 				}
 			case <-time.After(tcpDialTimeout):
 				_ = c.Close()

@@ -6,11 +6,12 @@ import (
 )
 
 // FB is a standard function-block instance. Invoke runs one evaluation with
-// named inputs at the scan instant; Member reads an output.
+// named inputs at the scan instant; Member reads an output; SetMember assigns
+// one input at the scan instant (`t.IN := x;`).
 type FB interface {
 	Invoke(inputs map[string]Value, now time.Time) error
 	Member(name string) (Value, error)
-	SetMember(name string, v Value) error
+	SetMember(name string, v Value, now time.Time) error
 }
 
 func newFB(t TypeName) FB {
@@ -90,7 +91,7 @@ func (t *tonFB) Member(name string) (Value, error) {
 	return Value{}, badMember("TON", name)
 }
 
-func (t *tonFB) SetMember(name string, v Value) error {
+func (t *tonFB) SetMember(name string, v Value, _ time.Time) error {
 	switch name {
 	case "IN":
 		t.in = v.AsBool()
@@ -146,7 +147,7 @@ func (t *tofFB) Member(name string) (Value, error) {
 	return Value{}, badMember("TOF", name)
 }
 
-func (t *tofFB) SetMember(name string, v Value) error {
+func (t *tofFB) SetMember(name string, v Value, _ time.Time) error {
 	switch name {
 	case "IN":
 		t.in = v.AsBool()
@@ -202,10 +203,10 @@ func (t *tpFB) Member(name string) (Value, error) {
 	return Value{}, badMember("TP", name)
 }
 
-func (t *tpFB) SetMember(name string, v Value) error {
+func (t *tpFB) SetMember(name string, v Value, now time.Time) error {
 	switch name {
 	case "IN":
-		return t.Invoke(map[string]Value{"IN": v}, time.Now())
+		return t.Invoke(map[string]Value{"IN": v}, now)
 	case "PT":
 		t.pt = v.AsTime()
 		return nil
@@ -236,9 +237,9 @@ func (t *rtrigFB) Member(name string) (Value, error) {
 	return Value{}, badMember("R_TRIG", name)
 }
 
-func (t *rtrigFB) SetMember(name string, v Value) error {
+func (t *rtrigFB) SetMember(name string, v Value, now time.Time) error {
 	if name == "CLK" {
-		return t.Invoke(map[string]Value{"CLK": v}, time.Time{})
+		return t.Invoke(map[string]Value{"CLK": v}, now)
 	}
 	return badMember("R_TRIG", name)
 }
@@ -268,9 +269,9 @@ func (t *ftrigFB) Member(name string) (Value, error) {
 	return Value{}, badMember("F_TRIG", name)
 }
 
-func (t *ftrigFB) SetMember(name string, v Value) error {
+func (t *ftrigFB) SetMember(name string, v Value, now time.Time) error {
 	if name == "CLK" {
-		return t.Invoke(map[string]Value{"CLK": v}, time.Time{})
+		return t.Invoke(map[string]Value{"CLK": v}, now)
 	}
 	return badMember("F_TRIG", name)
 }
@@ -301,7 +302,7 @@ func (t *srFB) Member(name string) (Value, error) {
 	return Value{}, badMember("SR", name)
 }
 
-func (t *srFB) SetMember(name string, v Value) error { return badMember("SR", name) }
+func (t *srFB) SetMember(name string, v Value, _ time.Time) error { return badMember("SR", name) }
 
 // rsFB is a reset-dominant latch.
 type rsFB struct{ q bool }
@@ -329,7 +330,7 @@ func (t *rsFB) Member(name string) (Value, error) {
 	return Value{}, badMember("RS", name)
 }
 
-func (t *rsFB) SetMember(name string, v Value) error { return badMember("RS", name) }
+func (t *rsFB) SetMember(name string, v Value, _ time.Time) error { return badMember("RS", name) }
 
 // ctuFB counts rising edges on CU up to PV.
 type ctuFB struct {
@@ -368,7 +369,7 @@ func (t *ctuFB) Member(name string) (Value, error) {
 	return Value{}, badMember("CTU", name)
 }
 
-func (t *ctuFB) SetMember(name string, v Value) error {
+func (t *ctuFB) SetMember(name string, v Value, _ time.Time) error {
 	if name == "PV" {
 		t.pv = v.AsInt()
 		return nil
@@ -413,7 +414,7 @@ func (t *ctdFB) Member(name string) (Value, error) {
 	return Value{}, badMember("CTD", name)
 }
 
-func (t *ctdFB) SetMember(name string, v Value) error {
+func (t *ctdFB) SetMember(name string, v Value, _ time.Time) error {
 	if name == "PV" {
 		t.pv = v.AsInt()
 		return nil

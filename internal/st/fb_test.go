@@ -46,7 +46,7 @@ func TestFBMemberErrors(t *testing.T) {
 		if _, err := fb.Member("BOGUS"); err == nil {
 			t.Errorf("%s.Member(BOGUS) succeeded", typ)
 		}
-		if err := fb.SetMember("BOGUS", BoolVal(true)); err == nil {
+		if err := fb.SetMember("BOGUS", BoolVal(true), time.Time{}); err == nil {
 			t.Errorf("%s.SetMember(BOGUS) succeeded", typ)
 		}
 	}
@@ -106,10 +106,10 @@ func TestSRLatchDefaultInputNames(t *testing.T) {
 
 func TestTOFMembers(t *testing.T) {
 	fb := newFB(TypeTOF)
-	if err := fb.SetMember("PT", TimeVal(time.Second)); err != nil {
+	if err := fb.SetMember("PT", TimeVal(time.Second), time.Time{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := fb.SetMember("IN", BoolVal(true)); err != nil {
+	if err := fb.SetMember("IN", BoolVal(true), time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := fb.Invoke(map[string]Value{"IN": BoolVal(true)}, time.Now()); err != nil {
@@ -126,10 +126,10 @@ func TestTOFMembers(t *testing.T) {
 
 func TestTPMemberAccess(t *testing.T) {
 	fb := newFB(TypeTP)
-	if err := fb.SetMember("PT", TimeVal(time.Hour)); err != nil {
+	if err := fb.SetMember("PT", TimeVal(time.Hour), time.Time{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := fb.SetMember("IN", BoolVal(true)); err != nil {
+	if err := fb.SetMember("IN", BoolVal(true), time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	q, err := fb.Member("Q")
@@ -141,9 +141,50 @@ func TestTPMemberAccess(t *testing.T) {
 	}
 }
 
+func TestTPMemberAssignmentUsesScanTime(t *testing.T) {
+	// `p.IN := TRUE;` starts the pulse at the scan instant, not the wall
+	// clock, so ET and Q follow the scan times alone.
+	prog := MustParse(`
+		VAR p : TP; END_VAR
+		p.PT := T#1s;
+		p.IN := TRUE;
+	`)
+	env, err := NewEnv(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, _ := env.GetFB("P")
+	epoch := time.Unix(1_700_000_000, 0)
+	member := func(name string) Value {
+		t.Helper()
+		v, err := fb.Member(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	for _, at := range []time.Duration{0, 400 * time.Millisecond} {
+		if err := env.Step(epoch.Add(at)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if et := member("ET").AsTime(); et != 400*time.Millisecond {
+		t.Errorf("ET at +400ms = %v, want 400ms", et)
+	}
+	if !member("Q").AsBool() {
+		t.Error("Q at +400ms = false, want true")
+	}
+	if err := env.Step(epoch.Add(1200 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if member("Q").AsBool() {
+		t.Error("Q at +1.2s = true, want false")
+	}
+}
+
 func TestCTUSetMemberPV(t *testing.T) {
 	fb := newFB(TypeCTU)
-	if err := fb.SetMember("PV", IntVal(2)); err != nil {
+	if err := fb.SetMember("PV", IntVal(2), time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
@@ -164,7 +205,7 @@ func TestCTUSetMemberPV(t *testing.T) {
 
 func TestCTDSetMemberPV(t *testing.T) {
 	fb := newFB(TypeCTD)
-	if err := fb.SetMember("PV", IntVal(5)); err != nil {
+	if err := fb.SetMember("PV", IntVal(5), time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	fb.Invoke(map[string]Value{"LD": BoolVal(true)}, time.Time{})

@@ -291,7 +291,7 @@ func (e *Env) assign(ref VarRef, v Value) error {
 		if !ok {
 			return fmt.Errorf("st: line %d: unknown FB instance %q", ref.Line, ref.Name)
 		}
-		return fb.SetMember(ref.Member, v)
+		return fb.SetMember(ref.Member, v, e.Now)
 	}
 	slot, ok := e.vars[ref.Name]
 	if !ok {

@@ -8,9 +8,10 @@
 // gateway IED streams its local line current to the remote end, which
 // compares the two. No model streams SV on a LAN, so the L2 (EtherType
 // 0x88BA) transport is not modelled; samples travel as UDP datagrams across
-// the WAN (README, "Substitutions"). Streams are step-driven: the owner calls
-// PublishNow once per sample, so the range's step clock sets the sampling
-// rate.
+// the WAN (README, "Substitutions"). Streams are step-driven at both ends:
+// the owner calls PublishNow once per step, stamping RefrTm with the step
+// time, and drains its subscription with Poll, so the range's step clock
+// sets the sampling rate and no SV goroutine runs.
 package sv
 
 import (
@@ -201,8 +202,9 @@ func NewRPublisher(h *netem.Host, cfg PublisherConfig, peers []netem.IPv4, src S
 	return &Publisher{cfg: cfg, src: src, sock: sock, peers: append([]netem.IPv4(nil), peers...)}, nil
 }
 
-// PublishNow transmits one sample of the source's current values.
-func (p *Publisher) PublishNow() {
+// PublishNow transmits one sample of the source's current values, stamped
+// with the step time now.
+func (p *Publisher) PublishNow(now time.Time) {
 	values := p.src()
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -211,7 +213,7 @@ func (p *Publisher) PublishNow() {
 		SmpCnt:  p.smpCnt,
 		ConfRev: p.cfg.ConfRev,
 		Values:  values,
-		RefrTm:  time.Now(),
+		RefrTm:  now,
 	}
 	p.smpCnt++
 	p.scratch = MarshalAppend(p.scratch[:0], p.cfg.AppID, s)
@@ -232,65 +234,68 @@ func (p *Publisher) Sent() uint64 {
 	return p.sent
 }
 
-// Subscriber receives an SV stream from UDP datagrams.
+// Subscriber receives an SV stream from UDP datagrams. It has no goroutine
+// of its own: the owner calls Poll, once per step, to decode what arrived.
 type Subscriber struct {
+	appID uint16
+	sock  *netem.UDPSocket
+	dec   Decoder // arena reused across Poll calls
+
 	mu       sync.Mutex
 	received uint64
 	lost     uint64
 	lastCnt  uint16
 	seen     bool
-	ch       chan Sample
-	sock     *netem.UDPSocket
-	done     chan struct{} // closed when the pump exits
 }
 
-// SubscribeR binds the R-SV port and decodes the datagrams for appID on a
-// pump goroutine that Close stops.
+// SubscribeR binds the R-SV port for the stream with the given APPID.
 func SubscribeR(h *netem.Host, appID uint16) (*Subscriber, error) {
 	sock, err := h.BindUDP(RSVPort)
 	if err != nil {
 		return nil, err
 	}
-	s := &Subscriber{ch: make(chan Sample, 1024), sock: sock, done: make(chan struct{})}
-	go func() {
-		defer close(s.done)
-		var dec Decoder // arena reused on this goroutine
-		for m := range sock.Recv() {
-			gotID, sample, err := dec.Unmarshal(m.Data)
-			if err == nil && gotID == appID {
-				s.deliver(sample)
+	return &Subscriber{appID: appID, sock: sock}, nil
+}
+
+// Poll decodes every datagram queued on the socket, on the caller's
+// goroutine and without blocking, and passes each sample of the subscribed
+// APPID to fn in arrival order. Poll must not be called concurrently.
+func (s *Subscriber) Poll(fn func(Sample)) {
+	for {
+		select {
+		case m, ok := <-s.sock.Recv():
+			if !ok {
+				return
 			}
+			gotID, sample, err := s.dec.Unmarshal(m.Data)
+			if err != nil || gotID != s.appID {
+				continue
+			}
+			s.count(sample.SmpCnt)
+			fn(sample)
+		default:
+			return
 		}
-	}()
-	return s, nil
+	}
 }
 
-// Close releases the subscriber's socket and waits for its pump to finish.
-func (s *Subscriber) Close() {
-	s.sock.Close()
-	<-s.done
-}
+// Close releases the subscriber's socket.
+func (s *Subscriber) Close() { s.sock.Close() }
 
-func (s *Subscriber) deliver(sample Sample) {
+// count updates the received and lost counters (lost from smpCnt gaps).
+func (s *Subscriber) count(smpCnt uint16) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.seen {
 		expected := s.lastCnt + 1
-		if sample.SmpCnt != expected {
-			s.lost += uint64(uint16(sample.SmpCnt - expected))
+		if smpCnt != expected {
+			s.lost += uint64(uint16(smpCnt - expected))
 		}
 	}
-	s.lastCnt = sample.SmpCnt
+	s.lastCnt = smpCnt
 	s.seen = true
 	s.received++
-	s.mu.Unlock()
-	select {
-	case s.ch <- sample:
-	default: // measurement streams tolerate consumer lag
-	}
 }
-
-// Samples returns the delivery channel.
-func (s *Subscriber) Samples() <-chan Sample { return s.ch }
 
 // Stats reports received and lost sample counts (from smpCnt gaps).
 func (s *Subscriber) Stats() (received, lost uint64) {

@@ -1,6 +1,7 @@
 package sv
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -49,16 +50,24 @@ func rsvPair(t *testing.T, hosts []*netem.Host, cfg PublisherConfig, src SourceF
 	return pub, sub
 }
 
-// nextSample reads the subscriber's next sample or fails the test.
-func nextSample(t *testing.T, sub *Subscriber) Sample {
+// epoch is the step clock the stream tests publish on.
+var epoch = time.Unix(1_700_000_000, 0)
+
+// pollSamples polls sub until n samples have arrived, failing the test after
+// 2 s. The fabric delivers on its own goroutines, so the test yields to them
+// between polls.
+func pollSamples(t *testing.T, sub *Subscriber, n int) []Sample {
 	t.Helper()
-	select {
-	case s := <-sub.Samples():
-		return s
-	case <-time.After(2 * time.Second):
-		t.Fatal("no sample delivered")
-		return Sample{}
+	var got []Sample
+	deadline := time.Now().Add(2 * time.Second)
+	for len(got) < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d samples delivered", len(got), n)
+		}
+		sub.Poll(func(s Sample) { got = append(got, s) })
+		runtime.Gosched()
 	}
+	return got
 }
 
 func TestMarshalRoundTrip(t *testing.T) {
@@ -137,16 +146,20 @@ func TestStreamDelivery(t *testing.T) {
 	pub, sub := rsvPair(t, hosts, PublisherConfig{SvID: "MU01", AppID: 0x4000},
 		func() []float64 { return append([]float64(nil), current...) })
 
-	// Each PublishNow sends one sample of the source's values at that step;
-	// a source change shows in the next step's sample.
-	pub.PublishNow()
-	first := nextSample(t, sub)
+	// Each PublishNow sends one sample of the source's values at that step,
+	// stamped with the step time; a source change shows in the next step's
+	// sample.
+	pub.PublishNow(epoch)
+	first := pollSamples(t, sub, 1)[0]
 	if first.SvID != "MU01" || len(first.Values) != 3 || first.Values[0] != 0.1 {
 		t.Errorf("first sample = %+v", first)
 	}
+	if d := first.RefrTm.Sub(epoch); d < -time.Microsecond || d > time.Microsecond {
+		t.Errorf("RefrTm = %v, want the step time %v", first.RefrTm, epoch)
+	}
 	current = []float64{9, 9, 9}
-	pub.PublishNow()
-	if s := nextSample(t, sub); s.Values[0] != 9 || s.SmpCnt != first.SmpCnt+1 {
+	pub.PublishNow(epoch.Add(100 * time.Millisecond))
+	if s := pollSamples(t, sub, 1)[0]; s.Values[0] != 9 || s.SmpCnt != first.SmpCnt+1 {
 		t.Errorf("second sample = %+v, want values 9 and smpCnt %d", s, first.SmpCnt+1)
 	}
 	received, lost := sub.Stats()
@@ -161,16 +174,15 @@ func TestSmpCntIncrementsAndLossDetection(t *testing.T) {
 		func() []float64 { return []float64{1} })
 
 	for i := 0; i < 5; i++ {
-		pub.PublishNow()
+		pub.PublishNow(epoch.Add(time.Duration(i) * 100 * time.Millisecond))
 	}
-	prev := nextSample(t, sub)
-	for i := 1; i < 5; i++ {
-		s := nextSample(t, sub)
-		if s.SmpCnt != prev.SmpCnt+1 {
-			t.Errorf("smpCnt jump %d -> %d", prev.SmpCnt, s.SmpCnt)
+	got := pollSamples(t, sub, 5)
+	for i := 1; i < len(got); i++ {
+		if got[i].SmpCnt != got[i-1].SmpCnt+1 {
+			t.Errorf("smpCnt jump %d -> %d", got[i-1].SmpCnt, got[i].SmpCnt)
 		}
-		prev = s
 	}
+	prev := got[len(got)-1]
 	if received, lost := sub.Stats(); received != 5 || lost != 0 {
 		t.Fatalf("received=%d lost=%d, want 5/0", received, lost)
 	}
@@ -180,10 +192,10 @@ func TestSmpCntIncrementsAndLossDetection(t *testing.T) {
 	// and the next sample's smpCnt shows the gap.
 	link := n.LinkBetween(hosts[0].Name(), "sw")
 	link.SetUp(false)
-	pub.PublishNow()
+	pub.PublishNow(epoch.Add(500 * time.Millisecond))
 	link.SetUp(true)
-	pub.PublishNow()
-	if s := nextSample(t, sub); s.SmpCnt != prev.SmpCnt+2 {
+	pub.PublishNow(epoch.Add(600 * time.Millisecond))
+	if s := pollSamples(t, sub, 1)[0]; s.SmpCnt != prev.SmpCnt+2 {
 		t.Errorf("smpCnt after the gap = %d, want %d", s.SmpCnt, prev.SmpCnt+2)
 	}
 	if received, lost := sub.Stats(); received != 6 || lost != 1 {
@@ -219,24 +231,14 @@ func TestRSVGatewayExchange(t *testing.T) {
 	}
 	defer pubB.Stop()
 
-	pubA.PublishNow()
-	pubB.PublishNow()
+	pubA.PublishNow(epoch)
+	pubB.PublishNow(epoch)
 
-	select {
-	case s := <-subB.Samples():
-		if s.SvID != "GW-A" || s.Values[0] != 0.351 {
-			t.Errorf("B received %+v", s)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("B missed A's stream")
+	if s := pollSamples(t, subB, 1)[0]; s.SvID != "GW-A" || s.Values[0] != 0.351 {
+		t.Errorf("B received %+v", s)
 	}
-	select {
-	case s := <-subA.Samples():
-		if s.SvID != "GW-B" || s.Values[0] != 0.349 {
-			t.Errorf("A received %+v", s)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("A missed B's stream")
+	if s := pollSamples(t, subA, 1)[0]; s.SvID != "GW-B" || s.Values[0] != 0.349 {
+		t.Errorf("A received %+v", s)
 	}
 	if pubA.Sent() != 1 || pubB.Sent() != 1 {
 		t.Errorf("sent counts %d/%d", pubA.Sent(), pubB.Sent())

@@ -10,8 +10,9 @@
 //
 //   - ARP spoofing: an IP address claimed by conflicting MAC addresses
 //     (the MITM case study, Fig 6);
-//   - unauthorized MMS control writes: confirmed-write PDUs towards port 102
-//     from sources outside the allowlist (the FCI case study);
+//   - unauthorized MMS control writes: segments towards port 102 from
+//     sources outside the allowlist that an MMS server would accept as a
+//     confirmed write (mms.ContainsWrite; the FCI case study);
 //   - GOOSE stNum anomalies: regressions that indicate replay or a second
 //     publisher (GOOSE spoofing);
 //   - TCP port scans: one source probing many distinct ports (the "Nmap on
@@ -25,6 +26,7 @@ import (
 	"time"
 
 	"repro/internal/goose"
+	"repro/internal/mms"
 	"repro/internal/netem"
 )
 
@@ -201,11 +203,9 @@ func (s *Sensor) inspectIP(f netem.Frame) {
 	if err != nil || pkt.Protocol != netem.IPProtoTCP || len(pkt.Payload) < 20 {
 		return
 	}
-	srcPort := binary.BigEndian.Uint16(pkt.Payload[0:])
 	dstPort := binary.BigEndian.Uint16(pkt.Payload[2:])
 	flags := pkt.Payload[13]
 	dataOff := int(pkt.Payload[12]>>4) * 4
-	_ = srcPort
 
 	// Port-scan detection: SYNs without ACK to many distinct ports.
 	if flags&0x02 != 0 && flags&0x10 == 0 {
@@ -222,91 +222,13 @@ func (s *Sensor) inspectIP(f netem.Frame) {
 		}
 	}
 
-	// Unauthorized MMS write: confirmed-request PDU with a write service
-	// towards the MMS port from outside the allowlist.
-	if s.writeWatch && dstPort == 102 && !s.writers[pkt.Src] &&
-		dataOff >= 20 && dataOff < len(pkt.Payload) {
-		if containsMMSWrite(pkt.Payload[dataOff:]) {
-			s.raise(AlertUnauthorizedWrite, pkt.Src.String(),
-				fmt.Sprintf("MMS write request to %s from non-authorized source", pkt.Dst))
-		}
+	// Unauthorized MMS write: a segment towards the MMS port, from outside
+	// the allowlist, that an MMS server would accept as a write request.
+	if s.writeWatch && dstPort == mms.DefaultPort && !s.writers[pkt.Src] &&
+		dataOff >= 20 && dataOff < len(pkt.Payload) && mms.ContainsWrite(pkt.Payload[dataOff:]) {
+		s.raise(AlertUnauthorizedWrite, pkt.Src.String(),
+			fmt.Sprintf("MMS write request to %s from non-authorized source", pkt.Dst))
 	}
-}
-
-// containsMMSWrite scans a TCP payload for a TPKT-framed MMS
-// confirmed-request PDU carrying the write service ([5], tag 0xA5).
-func containsMMSWrite(b []byte) bool {
-	for len(b) >= 6 {
-		if b[0] != 0x03 || b[1] != 0x00 {
-			return false
-		}
-		total := int(binary.BigEndian.Uint16(b[2:]))
-		if total < 4 || total > len(b) {
-			return false
-		}
-		pdu := b[4:total]
-		// confirmed-RequestPDU (0xA0): [len][invokeID TLV][service TLV].
-		if len(pdu) > 4 && pdu[0] == 0xA0 {
-			// Walk: skip the outer length (may be long-form).
-			body, ok := tlvValue(pdu)
-			if ok {
-				// First child: invokeID (0x02 ...), second: service.
-				if rest, ok := skipTLV(body); ok && len(rest) > 0 && rest[0] == 0xA5 {
-					return true
-				}
-			}
-		}
-		b = b[total:]
-	}
-	return false
-}
-
-// tlvValue returns the value bytes of the TLV at the start of b.
-func tlvValue(b []byte) ([]byte, bool) {
-	if len(b) < 2 {
-		return nil, false
-	}
-	ln := int(b[1])
-	offset := 2
-	if ln&0x80 != 0 {
-		n := ln & 0x7F
-		if n == 0 || n > 4 || len(b) < 2+n {
-			return nil, false
-		}
-		ln = 0
-		for i := 0; i < n; i++ {
-			ln = ln<<8 | int(b[2+i])
-		}
-		offset = 2 + n
-	}
-	if len(b) < offset+ln {
-		return nil, false
-	}
-	return b[offset : offset+ln], true
-}
-
-// skipTLV returns the bytes after the TLV at the start of b.
-func skipTLV(b []byte) ([]byte, bool) {
-	if len(b) < 2 {
-		return nil, false
-	}
-	ln := int(b[1])
-	offset := 2
-	if ln&0x80 != 0 {
-		n := ln & 0x7F
-		if n == 0 || n > 4 || len(b) < 2+n {
-			return nil, false
-		}
-		ln = 0
-		for i := 0; i < n; i++ {
-			ln = ln<<8 | int(b[2+i])
-		}
-		offset = 2 + n
-	}
-	if len(b) < offset+ln {
-		return nil, false
-	}
-	return b[offset+ln:], true
 }
 
 // inspectGOOSE uses the header-only arena decode: per frame it neither

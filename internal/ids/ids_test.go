@@ -208,14 +208,3 @@ func TestSensorCountsFrames(t *testing.T) {
 		t.Error("sensor saw no frames")
 	}
 }
-
-func TestContainsMMSWriteParsing(t *testing.T) {
-	// Not a TPKT frame.
-	if containsMMSWrite([]byte{0x01, 0x02, 0x03, 0x04, 0x05, 0x06}) {
-		t.Error("garbage classified as write")
-	}
-	// Short buffer.
-	if containsMMSWrite([]byte{0x03}) {
-		t.Error("short buffer classified as write")
-	}
-}

@@ -29,7 +29,7 @@ type ReportHandler func(ref ObjectReference, v Value)
 type Client struct {
 	mu       sync.Mutex // serialises requests; guards frames
 	conn     *netem.TCPConn
-	frames   frameReader
+	frames   *netem.FrameReader
 	nextID   atomic.Uint32
 	closed   atomic.Bool
 	onReport ReportHandler
@@ -63,7 +63,7 @@ func Dial(h *netem.Host, ip netem.IPv4, port uint16, opts DialOptions) (*Client,
 	if err != nil {
 		return nil, fmt.Errorf("mms: dial %s:%d: %w", ip, port, err)
 	}
-	c := &Client{conn: conn, frames: frameReader{r: conn}, onReport: opts.OnReport, timeout: opts.Timeout}
+	c := &Client{conn: conn, frames: netem.NewFrameReader(conn, 4, frameSize), onReport: opts.OnReport, timeout: opts.Timeout}
 	p, err := c.roundTrip(encodeInitiateRequest(nil, opts.Vendor), 0)
 	if err != nil {
 		conn.Close()
@@ -98,7 +98,7 @@ func (c *Client) roundTrip(req []byte, id uint32) (pdu, error) {
 	}
 	c.conn.SetReadTimeout(c.timeout)
 	for {
-		payload, err := c.frames.next()
+		frame, err := c.frames.Next()
 		if err != nil {
 			var te interface{ Timeout() bool }
 			if errors.As(err, &te) && te.Timeout() {
@@ -106,7 +106,7 @@ func (c *Client) roundTrip(req []byte, id uint32) (pdu, error) {
 			}
 			return pdu{}, ErrClientClosed
 		}
-		p, err := decodePDU(payload)
+		p, err := decodePDU(frame[4:])
 		if err != nil {
 			continue // tolerate garbage mid-association (tampering experiments)
 		}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"time"
 
 	"repro/internal/ber"
@@ -86,41 +85,34 @@ func writeFrameReuse(w io.Writer, scratch, payload []byte) ([]byte, error) {
 	return buf, err
 }
 
-// frameReader splits a stream into TPKT-style frames. It reads into one
-// reused buffer, and the bytes of a frame cut short by a read deadline stay
-// buffered, so a timed-out read leaves the stream in step for the next one.
-type frameReader struct {
-	r   io.Reader
-	buf []byte // buf[off:] is received but not yet returned
-	off int
+// frameSize is the one check of a TPKT header: version 3 and a 16-bit total
+// length that covers at least the 4-byte header. It is the size function of
+// every MMS frame reader and of ContainsWrite.
+func frameSize(hdr []byte) (int, error) {
+	total := int(binary.BigEndian.Uint16(hdr[2:]))
+	if hdr[0] != 0x03 || total < 4 {
+		return 0, fmt.Errorf("%w: header % x", ErrFraming, hdr[:4])
+	}
+	return total, nil
 }
 
-// next returns the next frame's payload, valid until the following call.
-func (f *frameReader) next() ([]byte, error) {
-	for {
-		rest := f.buf[f.off:]
-		if len(rest) >= 4 {
-			total := int(binary.BigEndian.Uint16(rest[2:]))
-			if rest[0] != 0x03 || total < 4 {
-				return nil, fmt.Errorf("%w: header % x", ErrFraming, rest[:4])
-			}
-			if len(rest) >= total {
-				f.off += total
-				return rest[4:total], nil
-			}
+// ContainsWrite reports whether b, the bytes of one TCP segment, holds a
+// TPKT frame whose PDU decodes as a confirmed write request: the acceptance
+// a server applies before it executes a write. The walk stops at the first
+// bad header or a frame the segment cuts short. Passive monitors (the IDS)
+// call it, so they parse no TPKT or BER themselves.
+func ContainsWrite(b []byte) bool {
+	for len(b) >= 4 {
+		total, err := frameSize(b)
+		if err != nil || total > len(b) {
+			return false
 		}
-		// The last payload returned is dead now: slide the unread bytes to
-		// the front, and grow the buffer only when they already fill it.
-		f.buf, f.off = f.buf[:copy(f.buf, rest)], 0
-		if len(f.buf) == cap(f.buf) {
-			f.buf = slices.Grow(f.buf, max(len(f.buf), 256))
+		if p, err := decodePDU(b[4:total]); err == nil && p.kind == tagConfirmedRequest && p.service == svcWrite {
+			return true
 		}
-		n, err := f.r.Read(f.buf[len(f.buf):cap(f.buf)])
-		f.buf = f.buf[:len(f.buf)+n]
-		if err != nil {
-			return nil, err
-		}
+		b = b[total:]
 	}
+	return false
 }
 
 // encodeValue appends the MMS Data encoding of v.

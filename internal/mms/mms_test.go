@@ -1,9 +1,10 @@
 package mms
 
 import (
+	"bytes"
 	"errors"
-	"io"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -411,48 +412,6 @@ func TestDecodePDUErrors(t *testing.T) {
 	}
 }
 
-// chunkReader replays reads one step at a time: a chunk of bytes, or an
-// error when the chunk is nil.
-type chunkReader struct {
-	chunks [][]byte
-	err    error
-}
-
-func (r *chunkReader) Read(p []byte) (int, error) {
-	if len(r.chunks) == 0 {
-		return 0, io.EOF
-	}
-	c := r.chunks[0]
-	r.chunks = r.chunks[1:]
-	if c == nil {
-		return 0, r.err
-	}
-	return copy(p, c), nil
-}
-
-func TestFrameReaderKeepsPartialFrameAcrossTimeout(t *testing.T) {
-	// Two frames; the first is cut short by a read timeout after its header
-	// and one payload byte. The bytes read so far stay buffered, so the next
-	// call completes the frame instead of misreading the rest as a header.
-	timeout := errors.New("deadline")
-	r := &chunkReader{err: timeout, chunks: [][]byte{
-		{0x03, 0x00, 0x00, 0x07, 'a'}, nil, {'b', 'c', 0x03, 0x00, 0x00, 0x05}, {'d'},
-	}}
-	f := frameReader{r: r}
-	if _, err := f.next(); !errors.Is(err, timeout) {
-		t.Fatalf("first next = %v, want the timeout", err)
-	}
-	for _, want := range []string{"abc", "d"} {
-		got, err := f.next()
-		if err != nil || string(got) != want {
-			t.Fatalf("next = %q, %v; want %q", got, err, want)
-		}
-	}
-	if _, err := f.next(); !errors.Is(err, io.EOF) {
-		t.Errorf("next at end = %v, want io.EOF", err)
-	}
-}
-
 func TestFramingErrors(t *testing.T) {
 	srvHost, cliHost := testPair(t)
 	// A raw TCP client sending garbage must not wedge the server.
@@ -477,4 +436,72 @@ func TestFramingErrors(t *testing.T) {
 	if _, err := cli.Read("LD0/X.v"); err != nil {
 		t.Error(err)
 	}
+}
+
+// tpkt frames a PDU as the client and server put it on the wire.
+func tpkt(pdu []byte) []byte {
+	var b bytes.Buffer
+	writeFrame(&b, pdu)
+	return b.Bytes()
+}
+
+// containsWriteCases are TCP segments as a passive monitor sees them.
+func containsWriteCases() []struct {
+	name string
+	in   []byte
+	want bool
+} {
+	read := tpkt(encodeReadRequest(nil, 1, "LD0/MMXU1.A.phsA"))
+	write := tpkt(encodeWriteRequest(nil, 2, "LD0/XCBR1.Pos.Oper", NewBool(false)))
+	// A value over 127 bytes takes the confirmed request's length, and the
+	// value's own, into BER's long form.
+	long := tpkt(encodeWriteRequest(nil, 3, "LD0/LLN0.NamPlt.d", NewString(strings.Repeat("x", 200))))
+	return []struct {
+		name string
+		in   []byte
+		want bool
+	}{
+		{"garbage", []byte{0x01, 0x02, 0x03, 0x04, 0x05, 0x06}, false},
+		{"short buffer", []byte{0x03}, false},
+		{"read", read, false},
+		{"getNameList", tpkt(encodeGetNameListRequest(nil, 4, "LD0")), false},
+		{"write", write, true},
+		{"read then write", append(append([]byte(nil), read...), write...), true},
+		{"long-form lengths", long, true},
+		{"write cut short", write[:len(write)-1], false},
+	}
+}
+
+func TestContainsWrite(t *testing.T) {
+	for _, c := range containsWriteCases() {
+		if got := ContainsWrite(c.in); got != c.want {
+			t.Errorf("%s: ContainsWrite = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// FuzzContainsWrite holds ContainsWrite, which the IDS runs on attacker
+// bytes, to the server's own path: split the input with the stream frame
+// reader and decode each frame as the server does. It must never panic, and
+// it reports a write exactly when some frame before the first bad or
+// truncated one decodes as a confirmed write request.
+func FuzzContainsWrite(f *testing.F) {
+	for _, c := range containsWriteCases() {
+		f.Add(c.in)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		want := false
+		frames := netem.NewFrameReader(bytes.NewReader(b), 4, frameSize)
+		for !want {
+			frame, err := frames.Next()
+			if err != nil {
+				break
+			}
+			p, err := decodePDU(frame[4:])
+			want = err == nil && p.kind == tagConfirmedRequest && p.service == svcWrite
+		}
+		if got := ContainsWrite(b); got != want {
+			t.Fatalf("ContainsWrite(% x) = %v, server path says %v", b, got, want)
+		}
+	})
 }

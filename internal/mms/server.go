@@ -183,7 +183,7 @@ func (s *Server) serveConn(conn *netem.TCPConn) {
 	// without an intermediate copy. Safe because each pdu is fully consumed
 	// before the next decode.
 	var (
-		frames   = frameReader{r: conn}
+		frames   = netem.NewFrameReader(conn, 4, frameSize)
 		dec      ber.Decoder
 		frameBuf []byte
 	)
@@ -203,11 +203,11 @@ func (s *Server) serveConn(conn *netem.TCPConn) {
 		return err
 	}
 	for {
-		payload, err := frames.next()
+		frame, err := frames.Next()
 		if err != nil {
 			return
 		}
-		p, err := decodePDUArena(&dec, payload)
+		p, err := decodePDUArena(&dec, frame[4:])
 		if err != nil {
 			return // malformed association: drop it
 		}

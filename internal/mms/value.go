@@ -18,8 +18,9 @@
 // handler during the client's next request.
 //
 // The OSI lower layers (TPKT/COTP/session/presentation) are collapsed into a
-// 4-byte TPKT-style framing header; README, "Substitutions", records both
-// substitutions.
+// 4-byte TPKT-style framing header, checked in one place: the size function
+// that both ends' netem.FrameReader and ContainsWrite, the IDS's write test,
+// share. README, "Substitutions", records both substitutions.
 package mms
 
 import (

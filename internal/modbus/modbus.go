@@ -4,14 +4,17 @@
 //
 // It provides a register-table server with write hooks (the PLC's northbound
 // face) and a client (the SCADA poller), speaking standard MBAP framing with
-// function codes 1-6, 15 and 16, including proper exception responses.
+// function codes 1-6, 15 and 16, including proper exception responses. Both
+// ends read MBAP frames through netem's FrameReader, and the client skips
+// responses whose transaction ID is not its request's, so the late answer to
+// a timed-out request cannot desynchronise the association.
 package modbus
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -61,40 +64,31 @@ func (e *ExceptionError) Error() string {
 // Is reports that an ExceptionError matches ErrException.
 func (e *ExceptionError) Is(target error) bool { return target == ErrException }
 
-// mbap is the Modbus Application Protocol header.
-type mbap struct {
-	txID   uint16
-	unitID byte
-}
+// mbapLen is the length of the MBAP header: transaction ID, protocol ID,
+// length (of the unit ID and PDU) and unit ID.
+const mbapLen = 7
 
-func writeADU(w io.Writer, h mbap, pdu []byte) error {
-	buf := make([]byte, 7+len(pdu))
-	binary.BigEndian.PutUint16(buf[0:], h.txID)
-	binary.BigEndian.PutUint16(buf[2:], 0) // protocol ID
-	binary.BigEndian.PutUint16(buf[4:], uint16(1+len(pdu)))
-	buf[6] = h.unitID
-	copy(buf[7:], pdu)
-	_, err := w.Write(buf)
-	return err
-}
-
-func readADU(r io.Reader) (mbap, []byte, error) {
-	var hdr [7]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return mbap{}, nil, err
-	}
+// aduSize is the one check of an MBAP header: protocol ID 0 and a length
+// that covers the unit ID and a PDU of 1-259 bytes. It is the size function
+// of every Modbus frame reader.
+func aduSize(hdr []byte) (int, error) {
 	if binary.BigEndian.Uint16(hdr[2:]) != 0 {
-		return mbap{}, nil, fmt.Errorf("%w: protocol id", ErrFraming)
+		return 0, fmt.Errorf("%w: protocol id", ErrFraming)
 	}
 	length := int(binary.BigEndian.Uint16(hdr[4:]))
 	if length < 2 || length > 260 {
-		return mbap{}, nil, fmt.Errorf("%w: length %d", ErrFraming, length)
+		return 0, fmt.Errorf("%w: length %d", ErrFraming, length)
 	}
-	pdu := make([]byte, length-1)
-	if _, err := io.ReadFull(r, pdu); err != nil {
-		return mbap{}, nil, err
-	}
-	return mbap{txID: binary.BigEndian.Uint16(hdr[0:]), unitID: hdr[6]}, pdu, nil
+	return 6 + length, nil
+}
+
+// adu frames pdu behind an MBAP header.
+func adu(txID uint16, unitID byte, pdu []byte) []byte {
+	buf := make([]byte, mbapLen, mbapLen+len(pdu))
+	binary.BigEndian.PutUint16(buf[0:], txID)
+	binary.BigEndian.PutUint16(buf[4:], uint16(1+len(pdu)))
+	buf[6] = unitID
+	return append(buf, pdu...)
 }
 
 // CoilWriteHook observes a committed coil write (PLC command intake).
@@ -254,13 +248,14 @@ func (s *Server) Close() {
 }
 
 func (s *Server) serveConn(conn *netem.TCPConn) {
+	frames := netem.NewFrameReader(conn, mbapLen, aduSize)
 	for {
-		hdr, pdu, err := readADU(conn)
+		req, err := frames.Next()
 		if err != nil {
 			return
 		}
-		resp := s.handlePDU(pdu)
-		if err := writeADU(conn, hdr, resp); err != nil {
+		resp := s.handlePDU(req[mbapLen:])
+		if _, err := conn.Write(adu(binary.BigEndian.Uint16(req), req[6], resp)); err != nil {
 			return
 		}
 	}
@@ -449,8 +444,9 @@ func (s *Server) handlePDU(pdu []byte) []byte {
 
 // Client is a Modbus/TCP master.
 type Client struct {
-	mu      sync.Mutex
+	mu      sync.Mutex // serialises requests; guards frames and txID
 	conn    *netem.TCPConn
+	frames  *netem.FrameReader
 	txID    uint16
 	timeout time.Duration
 }
@@ -467,34 +463,38 @@ func DialClient(h *netem.Host, ip netem.IPv4, port uint16, timeout time.Duration
 	if err != nil {
 		return nil, fmt.Errorf("modbus: dial %s:%d: %w", ip, port, err)
 	}
-	return &Client{conn: conn, timeout: timeout}, nil
+	return &Client{conn: conn, frames: netem.NewFrameReader(conn, mbapLen, aduSize), timeout: timeout}, nil
 }
 
 // Close terminates the connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// roundTrip issues one request PDU and returns the response PDU.
-// Requests are serialised: Modbus/TCP allows one outstanding transaction.
+// roundTrip issues one request PDU and reads the connection until the
+// response carrying its transaction ID arrives, skipping the late responses
+// of requests that timed out. Requests are serialised: Modbus/TCP allows one
+// outstanding transaction.
 func (c *Client) roundTrip(pdu []byte) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.txID++
-	if err := writeADU(c.conn, mbap{txID: c.txID, unitID: 1}, pdu); err != nil {
+	if _, err := c.conn.Write(adu(c.txID, 1, pdu)); err != nil {
 		return nil, err
 	}
 	c.conn.SetReadTimeout(c.timeout)
-	defer c.conn.SetReadDeadline(time.Time{})
-	hdr, resp, err := readADU(c.conn)
-	if err != nil {
-		return nil, err
+	for {
+		frame, err := c.frames.Next()
+		if err != nil {
+			return nil, err
+		}
+		if binary.BigEndian.Uint16(frame) != c.txID {
+			continue
+		}
+		resp := frame[mbapLen:]
+		if len(resp) >= 2 && resp[0]&0x80 != 0 {
+			return nil, &ExceptionError{Function: resp[0] & 0x7F, Code: resp[1]}
+		}
+		return slices.Clone(resp), nil // frame is reused by the next request
 	}
-	if hdr.txID != c.txID {
-		return nil, fmt.Errorf("%w: transaction id %d, want %d", ErrFraming, hdr.txID, c.txID)
-	}
-	if len(resp) >= 2 && resp[0]&0x80 != 0 {
-		return nil, &ExceptionError{Function: resp[0] & 0x7F, Code: resp[1]}
-	}
-	return resp, nil
 }
 
 func readReq(fn byte, addr, count uint16) []byte {

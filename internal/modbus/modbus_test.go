@@ -1,6 +1,8 @@
 package modbus
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"sync"
 	"testing"
@@ -10,6 +12,13 @@ import (
 )
 
 func pair(t *testing.T) (*netem.Host, *netem.Host) {
+	t.Helper()
+	_, srv, cli := testNet(t)
+	return srv, cli
+}
+
+// testNet is pair that also returns the network, for link impairments.
+func testNet(t *testing.T) (*netem.Network, *netem.Host, *netem.Host) {
 	t.Helper()
 	n := netem.NewNetwork()
 	if _, err := netem.NewSwitch(n, "sw", 4); err != nil {
@@ -33,7 +42,7 @@ func pair(t *testing.T) (*netem.Host, *netem.Host) {
 		t.Fatal(err)
 	}
 	t.Cleanup(n.Stop)
-	return srv, cli
+	return n, srv, cli
 }
 
 func served(t *testing.T) (*Server, *Client) {
@@ -252,4 +261,125 @@ func TestBoundsSettersIgnoreOutOfRange(t *testing.T) {
 	if srv.Coil(99) || srv.Holding(99) != 0 {
 		t.Error("out-of-range access leaked")
 	}
+}
+
+func TestLateResponseIsSkipped(t *testing.T) {
+	n, srvHost, cliHost := testNet(t)
+	srv := NewServer(0, 0, 2, 0)
+	if err := srv.Serve(srvHost, 0); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	const timeout = 200 * time.Millisecond
+	cli, err := DialClient(cliHost, srvHost.IP(), 0, timeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	// A link slower than the client timeout: the first read gives up.
+	link := n.LinkBetween("scada", "sw")
+	link.SetLatency(5 * timeout)
+	srv.SetHolding(0, 99)
+	var te interface{ Timeout() bool }
+	if _, err := cli.ReadHolding(0, 1); !errors.As(err, &te) || !te.Timeout() {
+		t.Fatalf("read over the slow link = %v, want a timeout", err)
+	}
+	// Heal the link and wait for the server to answer the abandoned read;
+	// its late response now sits ahead of the next one on the connection.
+	link.SetLatency(0)
+	deadline := time.Now().Add(2 * time.Second)
+	for srv.Requests() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("server never saw the abandoned read")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i := uint16(1); i <= 3; i++ {
+		srv.SetHolding(1, i)
+		got, err := cli.ReadHolding(1, 1)
+		if err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+		if got[0] != i {
+			t.Errorf("read %d = %v, want its own value (not the late answer 99)", i, got)
+		}
+	}
+}
+
+func TestADUSize(t *testing.T) {
+	hdr := func(proto, length uint16) []byte {
+		b := make([]byte, mbapLen)
+		binary.BigEndian.PutUint16(b[2:], proto)
+		binary.BigEndian.PutUint16(b[4:], length)
+		return b
+	}
+	for _, h := range [][]byte{hdr(1, 6), hdr(0, 1), hdr(0, 261)} {
+		if _, err := aduSize(h); !errors.Is(err, ErrFraming) {
+			t.Errorf("aduSize(% x) = %v, want ErrFraming", h, err)
+		}
+	}
+	for length, want := range map[uint16]int{2: 8, 6: 12, 260: 266} {
+		if got, err := aduSize(hdr(0, length)); err != nil || got != want {
+			t.Errorf("aduSize(length %d) = %d, %v; want %d", length, got, err, want)
+		}
+	}
+}
+
+func TestFramingErrors(t *testing.T) {
+	srvHost, cliHost := pair(t)
+	// A raw TCP client sending garbage must not wedge the server.
+	srv := NewServer(0, 0, 0, 1)
+	srv.SetInput(0, 7)
+	if err := srv.Serve(srvHost, 0); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := cliHost.DialTCP(srvHost.IP(), DefaultPort)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.Write([]byte{0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x02, 0x03, 0x04})
+	conn.Close()
+	// A fresh client still reads.
+	cli, err := DialClient(cliHost, srvHost.IP(), 0, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if got, err := cli.ReadInput(0, 1); err != nil || got[0] != 7 {
+		t.Errorf("ReadInput = %v, %v; want [7]", got, err)
+	}
+}
+
+// FuzzServeFrames feeds arbitrary bytes, as a connection would carry them,
+// through the server's frame reader into handlePDU. It must never panic, and
+// every reply carries the request's function code, or that code with the
+// exception bit set and an exception code of 1-4.
+func FuzzServeFrames(f *testing.F) {
+	f.Add(adu(1, 1, readReq(FuncReadHolding, 0, 2)))
+	f.Add(append(adu(2, 1, []byte{FuncWriteSingleCoil, 0, 3, 0xFF, 0}), adu(3, 1, []byte{0x2B})...))
+	f.Add(adu(4, 1, []byte{FuncWriteMultiRegs, 0, 0, 0, 1, 2, 0x12, 0x34}))
+	f.Add(adu(5, 1, []byte{FuncWriteMultiCoils, 0, 0, 0, 9, 1, 0xFF}))
+	f.Add([]byte{0, 1, 0, 0, 0, 1, 1})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		srv := NewServer(16, 16, 16, 16)
+		frames := netem.NewFrameReader(bytes.NewReader(b), mbapLen, aduSize)
+		for {
+			frame, err := frames.Next()
+			if err != nil {
+				return
+			}
+			req := frame[mbapLen:]
+			resp := srv.handlePDU(req)
+			switch {
+			case len(resp) == 0:
+				t.Fatalf("empty reply to % x", req)
+			case resp[0] == req[0]:
+			case resp[0] == req[0]|0x80 && len(resp) == 2 && resp[1] >= ExIllegalFunction && resp[1] <= ExServerFailure:
+			default:
+				t.Fatalf("reply % x to request % x", resp, req)
+			}
+		}
+	})
 }

@@ -12,6 +12,9 @@
 // range. Host.ServeTCP is the one accept loop the protocol servers (MMS,
 // Modbus) share: it runs a handler per connection and its Close tears down
 // the listener and every live connection, then waits for the handlers.
+// FrameReader is their one reader of length-prefixed frames, server and
+// client side: a protocol gives a header length and a size function (TPKT,
+// MBAP), and a frame cut short by a read deadline stays buffered.
 //
 // Delivery is asynchronous: every device runs a worker goroutine draining a
 // FIFO queue that grows on demand up to a fixed bound, so the fabric exhibits

@@ -4,5 +4,6 @@
 //
 // It re-exports the internal implementation (repro/internal/mms) so
 // experiment code never needs an internal import; the protocol details
-// (TPKT framing, BER PDUs, the server side) live on the internal package.
+// (TPKT framing over netem's frame reader, BER PDUs, the server side) live on
+// the internal package.
 package mms

@@ -576,7 +576,9 @@ func TestFig6_MITMMeasurementTamper(t *testing.T) {
 	}
 	defer m.Stop()
 	time.Sleep(50 * time.Millisecond)
-	step(3)
+	// Step past one of CPLC's 1000 ms SCADA poll periods, so the HMI reads
+	// the PLC again after the tamper starts.
+	step(10)
 
 	during, _ := r.HMI.Point("DP_MainVoltage")
 	ratio := during.Value / before.Value

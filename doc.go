@@ -225,10 +225,14 @@
 //
 // StepAll advances the whole range one interval on the calling goroutine, in
 // a fixed order: the scenario pre-hook, the power solve, every IED in name
-// order (trip commands written straight to the kv bus), every PLC scan in
+// order (trip commands written straight to the kv bus), every due PLC scan in
 // CyberRange.Shards order (per substation, then by name; all are scanned
-// before the first error is returned), one HMI poll, the post-hook. Campaigns
-// and searches get their parallelism from running whole runs concurrently.
+// before the first error is returned), the HMI's due sources, the post-hook.
+// A PLC is due once its PLC Config scanMs, and an HMI data source once its
+// SCADA Config pollMs, has elapsed on the step clock since its last scan or
+// read, rounded up to whole steps; both are due on the first step, and a
+// period of zero or at most the interval is due every step. Campaigns and
+// searches get their parallelism from running whole runs concurrently.
 // Each IED's step is also its only driver of protocol I/O: it drains its
 // GOOSE and R-SV subscriptions, publishes GOOSE state changes and the
 // retransmissions due at the step time, and sends one R-SV sample, all

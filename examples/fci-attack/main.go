@@ -81,7 +81,10 @@ func main() {
 	if err := fci.InjectCommand(victim, 0, "LD0/XCBR1.Pos.Oper", mms.NewBool(false)); err != nil {
 		log.Fatal(err)
 	}
-	step(2) // the simulator picks the command up on its next interval
+	// The simulator picks the command up on its next interval; 2 s of steps
+	// let the HMI read every data source again (EPIC's longest SCADA poll
+	// period is 2000 ms).
+	step(20)
 
 	after := r.Sim.LastResult()
 	fmt.Printf("\nafter attack: MainBus %.4f pu, energized=%v, dead buses=%d\n",

@@ -71,7 +71,7 @@ func main() {
 	}
 	fmt.Println("\nARP caches poisoned; attacker forwarding with measurement rewrite (x0.5)")
 	time.Sleep(50 * time.Millisecond)
-	step(3)
+	step(10) // one poll period of CPLC (1000 ms), so SCADA reads it again
 
 	vp, _ = r.HMI.Point("DP_MainVoltage")
 	fmt.Printf("during MITM: SCADA reads MainVoltage = %.4f pu (falsified!)\n", vp.Value)
@@ -89,7 +89,7 @@ func main() {
 	// --- withdraw ----------------------------------------------------------
 	m.Stop()
 	time.Sleep(50 * time.Millisecond)
-	step(3)
+	step(10)
 	vp, _ = r.HMI.Point("DP_MainVoltage")
 	fmt.Printf("\nafter heal: SCADA reads MainVoltage = %.4f pu again\n", vp.Value)
 }

@@ -54,7 +54,9 @@ func main() {
 	if err := r.HMI.Control("DP_ManualTrip", 1); err != nil {
 		log.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
+	// ...and step 2 s, so the HMI, which reads each data source at its
+	// configured period (at most 2000 ms on EPIC), has read every one again.
+	for i := 0; i < 20; i++ {
 		now = now.Add(r.Interval())
 		if err := r.StepAll(now); err != nil {
 			log.Fatal(err)

@@ -20,9 +20,11 @@
 //
 // CyberRange.StepAll advances one simulation interval on the calling
 // goroutine: pre-hook, power solve, every IED in name order writing straight
-// to the kv bus, every PLC in Shards() order (the per-substation partition of
-// shard.go), one HMI poll, post-hook. Both orders are fixed once when the
-// range is instantiated.
+// to the kv bus, every due PLC in Shards() order (the per-substation
+// partition of shard.go), the HMI's due sources, post-hook. Both orders are
+// fixed once when the range is instantiated. A PLC or HMI source is due when
+// its configured period has elapsed on the step clock, rounded up to whole
+// steps (plcScan in range.go, scada.HMI.PollDue).
 //
 // Real-time mode (Start with realTime true) is paced StepAll: one driver
 // goroutine calls StepAll every Interval() of wall time, with the same clock

@@ -61,7 +61,7 @@ type CyberRange struct {
 	cons      *sclmerge.Consolidated
 	shards    []Shard
 	iedOrder  []*ied.IED // sorted by name: StepAll's IED order
-	plcOrder  []*plc.PLC // in Shards() order: StepAll's PLC scan order
+	plcOrder  []plcScan  // in Shards() order: StepAll's PLC scan order
 	interval  time.Duration
 	started   bool
 	stepIndex int
@@ -113,11 +113,22 @@ type rangeArtifacts struct {
 }
 
 // plcBuild is one PLC's precompiled build inputs: config, extracted
-// Structured Text and host attachment.
+// Structured Text, host attachment and scan period.
 type plcBuild struct {
-	cfg      plc.Config
-	logic    string
-	hostName string
+	cfg        plc.Config
+	logic      string
+	hostName   string
+	scanPeriod time.Duration
+}
+
+// plcScan is one PLC on StepAll's step clock: it is scanned on the first step
+// whose time is at least its scan period after its last scan, so a period
+// that is not a whole number of steps rounds up, and a period of zero or at
+// most the step interval scans every step.
+type plcScan struct {
+	p      *plc.PLC
+	period time.Duration
+	next   time.Time // step time from which the PLC is due again
 }
 
 // Compile runs the SG-ML Processor pipeline and assembles the range.
@@ -328,7 +339,8 @@ func buildArtifacts(ms *ModelSet) (*rangeArtifacts, *BuiltNetwork, error) {
 		for _, c := range spec.Config.Commands {
 			cfg.Commands = append(cfg.Commands, plc.CommandBinding{Coil: c.Coil, Var: c.Var})
 		}
-		a.plcBuilds = append(a.plcBuilds, plcBuild{cfg: cfg, logic: logic, hostName: hostName})
+		a.plcBuilds = append(a.plcBuilds, plcBuild{cfg: cfg, logic: logic, hostName: hostName,
+			scanPeriod: time.Duration(spec.Config.ScanMS) * time.Millisecond})
 	}
 
 	// SCADA import (stage 7 input), generated and parsed once.
@@ -386,6 +398,7 @@ func (a *rangeArtifacts) instantiate(built *BuiltNetwork) (*CyberRange, error) {
 	}
 
 	// Stage 6: virtual PLCs (OpenPLC61850).
+	scanPeriod := make(map[string]time.Duration, len(a.plcBuilds))
 	for i := range a.plcBuilds {
 		pb := &a.plcBuilds[i]
 		host, ok := built.Hosts[pb.hostName]
@@ -397,6 +410,7 @@ func (a *rangeArtifacts) instantiate(built *BuiltNetwork) (*CyberRange, error) {
 			return nil, err
 		}
 		r.PLCs[pb.cfg.Name] = p
+		scanPeriod[pb.cfg.Name] = pb.scanPeriod
 	}
 
 	// Stage 7: SCADA (HMI on the precompiled import model).
@@ -430,7 +444,7 @@ func (a *rangeArtifacts) instantiate(built *BuiltNetwork) (*CyberRange, error) {
 	r.shards = partitionShards(a.cons.SubstationOf, r.IEDs, r.PLCs)
 	for _, s := range r.shards {
 		for _, name := range s.PLCs {
-			r.plcOrder = append(r.plcOrder, r.PLCs[name])
+			r.plcOrder = append(r.plcOrder, plcScan{p: r.PLCs[name], period: scanPeriod[name]})
 		}
 	}
 	return r, nil
@@ -617,9 +631,12 @@ func (r *CyberRange) plcBindingsOf(name string) map[string]bool {
 
 // StepAll advances the whole range one simulation interval, deterministically
 // and on the calling goroutine: the pre hook, the physical solve, every IED in
-// name order with immediate bus writes, every PLC in Shards() order, one HMI
-// poll, then the post hook. Every PLC is scanned before the first scan error
-// is returned, so one failing scan never skips the rest.
+// name order with immediate bus writes, every due PLC in Shards() order, the
+// HMI's due sources, then the post hook. A PLC is due when its scanMs, and an
+// HMI data source when its update period, has elapsed on the step clock (now)
+// since its last scan or read; each is due on the first step. Every due PLC
+// is scanned before the first scan error is returned, so one failing scan
+// never skips the rest.
 func (r *CyberRange) StepAll(now time.Time) error {
 	step := r.stepIndex
 	if r.preStep != nil {
@@ -634,8 +651,13 @@ func (r *CyberRange) StepAll(now time.Time) error {
 		dev.Step(now)
 	}
 	var firstErr error
-	for _, p := range r.plcOrder {
-		if err := p.Scan(now); err != nil && firstErr == nil {
+	for i := range r.plcOrder {
+		s := &r.plcOrder[i]
+		if now.Before(s.next) {
+			continue
+		}
+		s.next = now.Add(s.period)
+		if err := s.p.Scan(now); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -643,7 +665,7 @@ func (r *CyberRange) StepAll(now time.Time) error {
 		return firstErr
 	}
 	if r.HMI != nil {
-		r.HMI.PollOnce()
+		r.HMI.PollDue(now)
 	}
 	r.stepIndex++
 	if r.postStep != nil {

@@ -210,3 +210,43 @@ func TestStepUnderFault(t *testing.T) {
 		t.Error("simulation broke after device death")
 	}
 }
+
+// TestStepClockCadence pins StepAll's step-clock schedule on EPIC at its
+// 100 ms interval: the HMI reads CPLC's four points (pollMs 1000) on steps 1,
+// 11 and 21 of a forked range, and a PLC Config scanMs of 250 ms rounds up to
+// a scan on steps 1, 4, 7 and 10.
+func TestStepClockCadence(t *testing.T) {
+	t.Run("HMI", func(t *testing.T) {
+		root := compiledEPIC(t)
+		r, err := root.Fork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(r.Stop)
+		if err := r.Start(context.Background(), false); err != nil {
+			t.Fatal(err)
+		}
+		const steps = 21
+		now := time.Unix(1700000000, 0)
+		for i := 0; i < steps; i++ {
+			now = now.Add(r.Interval())
+			if err := r.StepAll(now); err != nil {
+				t.Fatalf("step %d: %v", i, err)
+			}
+		}
+		if got := r.PLCs["CPLC"].Modbus().Requests(); got != 3*4 {
+			t.Errorf("CPLC Modbus reads in %d steps = %d, want 3 rounds x 4 points", steps, got)
+		}
+		if got := r.HMI.Polls(); got != steps {
+			t.Errorf("HMI poll rounds = %d, want %d", got, steps)
+		}
+	})
+	t.Run("PLC", func(t *testing.T) {
+		ms := epicModelSet(t)
+		ms.PLCs[0].Config.ScanMS = 250
+		r := runSteps(t, ms, 11)
+		if scans, _, _, _ := r.PLCs["CPLC"].Stats(); scans != 4 {
+			t.Errorf("CPLC scans in 11 steps at scanMs 250 = %d, want 4", scans)
+		}
+	})
+}

@@ -90,7 +90,13 @@ type PointState struct {
 }
 
 type source struct {
-	cfg      sgmlconf.ScadaImportSource
+	cfg    sgmlconf.ScadaImportSource
+	period time.Duration // UpdatePeriodMS, kept on the step clock by PollDue
+	// next is the step time from which PollDue reads the source again, and
+	// due marks the sources read in the current round; HMI.mu guards both.
+	next time.Time
+	due  bool
+
 	mu       sync.Mutex
 	mb       *modbus.Client
 	mmsC     *mms.Client
@@ -103,6 +109,7 @@ const dialBackoff = 2 * time.Second
 
 type point struct {
 	cfg   sgmlconf.ScadaImportPoint
+	src   *source
 	state PointState
 }
 
@@ -111,9 +118,9 @@ type HMI struct {
 	host *netem.Host
 
 	mu      sync.Mutex
-	sources map[string]*source
+	sources []*source // in import order
 	points  map[string]*point
-	order   []string // point XIDs in import order
+	order   []*point // in import order
 	events  []Event
 	polls   uint64
 	diag    func() string // optional diagnostics footer for StatusPanel
@@ -131,22 +138,27 @@ func (h *HMI) SetDiagnostics(fn func() string) {
 // New builds an HMI on a host from the import JSON model.
 func New(host *netem.Host, imp *sgmlconf.ScadaImport) (*HMI, error) {
 	h := &HMI{
-		host:    host,
-		sources: make(map[string]*source, len(imp.DataSources)),
-		points:  make(map[string]*point, len(imp.DataPoints)),
+		host:   host,
+		points: make(map[string]*point, len(imp.DataPoints)),
 	}
+	byXID := make(map[string]*source, len(imp.DataSources))
 	for _, s := range imp.DataSources {
-		h.sources[s.XID] = &source{cfg: s}
+		src := &source{cfg: s, period: time.Duration(s.UpdatePeriodMS) * time.Millisecond}
+		h.sources = append(h.sources, src)
+		byXID[s.XID] = src
 	}
 	for _, p := range imp.DataPoints {
-		if _, ok := h.sources[p.DataSourceXID]; !ok {
+		src, ok := byXID[p.DataSourceXID]
+		if !ok {
 			return nil, fmt.Errorf("%w: point %q references %q", ErrNoSource, p.XID, p.DataSourceXID)
 		}
-		h.points[p.XID] = &point{
+		pt := &point{
 			cfg:   p,
+			src:   src,
 			state: PointState{XID: p.XID, Name: p.Name, IsBinary: p.DataType == "BINARY"},
 		}
-		h.order = append(h.order, p.XID)
+		h.points[p.XID] = pt
+		h.order = append(h.order, pt)
 	}
 	return h, nil
 }
@@ -154,13 +166,7 @@ func New(host *netem.Host, imp *sgmlconf.ScadaImport) (*HMI, error) {
 // Connect dials every data source. Sources that fail to connect are left in
 // comm-fail state and retried on each poll.
 func (h *HMI) Connect() {
-	h.mu.Lock()
-	srcs := make([]*source, 0, len(h.sources))
 	for _, s := range h.sources {
-		srcs = append(srcs, s)
-	}
-	h.mu.Unlock()
-	for _, s := range srcs {
 		h.ensureConnected(s)
 	}
 }
@@ -215,37 +221,52 @@ func (h *HMI) dropConnection(s *source) {
 
 // Close releases all connections.
 func (h *HMI) Close() {
-	h.mu.Lock()
-	srcs := make([]*source, 0, len(h.sources))
 	for _, s := range h.sources {
-		srcs = append(srcs, s)
-	}
-	h.mu.Unlock()
-	for _, s := range srcs {
 		h.dropConnection(s)
 	}
 }
 
-// PollOnce reads every data point once.
-func (h *HMI) PollOnce() {
+// PollOnce reads every data point once, whatever its source's update
+// period: a forced read that leaves PollDue's schedule as it was.
+func (h *HMI) PollOnce() { h.poll(time.Time{}, true) }
+
+// PollDue is the step clock's poll. It reads, in import order, the points of
+// every source whose update period has elapsed on the step clock since
+// PollDue last read it; the first call reads every source. A period that is
+// not a whole number of steps so rounds up to the next step, and a period of
+// zero or less, or one shorter than the step, reads the source every call.
+// Wall time plays no part in the schedule.
+func (h *HMI) PollDue(now time.Time) { h.poll(now, false) }
+
+// poll runs one poll round: every source when all is set, else the sources
+// due at now. Either way the round counts in Polls.
+func (h *HMI) poll(now time.Time, all bool) {
 	h.mu.Lock()
-	order := append([]string(nil), h.order...)
 	h.polls++
+	for _, s := range h.sources {
+		s.due = all || !now.Before(s.next)
+		if s.due && !all {
+			s.next = now.Add(s.period)
+		}
+	}
 	h.mu.Unlock()
-	for _, xid := range order {
-		h.pollPoint(xid)
+	for _, pt := range h.order {
+		h.pollPoint(pt)
 	}
 }
 
-func (h *HMI) pollPoint(xid string) {
+func (h *HMI) pollPoint(pt *point) {
 	h.mu.Lock()
-	pt := h.points[xid]
-	src := h.sources[pt.cfg.DataSourceXID]
+	due := pt.src.due
 	h.mu.Unlock()
+	if !due {
+		return
+	}
 
-	value, binary, err := h.readPoint(src, pt)
+	value, binary, err := h.readPoint(pt.src, pt)
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	xid := pt.cfg.XID
 	now := time.Now()
 	prevQuality := pt.state.Quality
 	if err != nil {
@@ -406,8 +427,8 @@ func (h *HMI) Points() []PointState {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	out := make([]PointState, 0, len(h.order))
-	for _, xid := range h.order {
-		out = append(out, h.points[xid].state)
+	for _, pt := range h.order {
+		out = append(out, pt.state)
 	}
 	return out
 }
@@ -433,7 +454,8 @@ func (h *HMI) Events() []Event {
 	return append([]Event(nil), h.events...)
 }
 
-// Polls reports completed poll rounds.
+// Polls reports completed poll rounds: one per PollOnce or PollDue call,
+// whether or not a source was due.
 func (h *HMI) Polls() uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -457,7 +479,7 @@ func (h *HMI) Control(xid string, value float64) error {
 		h.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrNotSettable, xid)
 	}
-	src := h.sources[pt.cfg.DataSourceXID]
+	src := pt.src
 	h.mu.Unlock()
 	if !h.ensureConnected(src) {
 		return fmt.Errorf("%w: %s", ErrNoSource, src.cfg.XID)

@@ -2,8 +2,10 @@ package scada
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/mms"
 	"repro/internal/modbus"
@@ -293,5 +295,69 @@ func TestNewRejectsOrphanPoints(t *testing.T) {
 	h, _ := netem.NewHost(n, "h", netem.MAC{2}, netem.IPv4{10})
 	if _, err := New(h, imp); err == nil {
 		t.Error("orphan point accepted")
+	}
+}
+
+// TestPollDueStepClock drives three Modbus sources, each on its own server,
+// at 100 ms steps from a fixed epoch: each is read on the first step and then
+// on the first step at least its update period after its last read, so the
+// server request counts follow the step clock and not the wall clock.
+func TestPollDueStepClock(t *testing.T) {
+	n := netem.NewNetwork()
+	if _, err := netem.NewSwitch(n, "sw", 4); err != nil {
+		t.Fatal(err)
+	}
+	periods := []int{0, 1000, 1500}
+	hosts := make([]*netem.Host, len(periods)+1)
+	for i := range hosts {
+		h, err := netem.NewHost(n, fmt.Sprintf("h%d", i), netem.MAC{2, 0, 0, 0, 0, byte(i + 1)}, netem.IPv4{10, 0, 0, byte(i + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.Connect(h.Name(), 0, "sw", i, 0); err != nil {
+			t.Fatal(err)
+		}
+		hosts[i] = h
+	}
+	if err := n.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Stop)
+
+	imp := &sgmlconf.ScadaImport{}
+	servers := make([]*modbus.Server, len(periods))
+	for i, ms := range periods {
+		servers[i] = modbus.NewServer(4, 4, 4, 4)
+		if err := servers[i].Serve(hosts[i], 0); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(servers[i].Close)
+		xid := fmt.Sprintf("DS_%d", ms)
+		imp.DataSources = append(imp.DataSources, sgmlconf.ScadaImportSource{
+			XID: xid, Type: "MODBUS_IP", IP: fmt.Sprintf("10.0.0.%d", i+1), Port: 502, UpdatePeriodMS: ms, Enabled: true})
+		imp.DataPoints = append(imp.DataPoints, sgmlconf.ScadaImportPoint{
+			XID: fmt.Sprintf("DP_%d", ms), DataSourceXID: xid, PointLocator: "30001", DataType: "NUMERIC"})
+	}
+	h, err := New(hosts[len(periods)], imp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(h.Close)
+	h.Connect()
+
+	const steps = 31
+	epoch := time.Unix(1700000000, 0)
+	for i := 0; i < steps; i++ {
+		h.PollDue(epoch.Add(time.Duration(i) * 100 * time.Millisecond))
+	}
+	// Period 0 reads every step; 1000 ms at steps 0, 10, 20, 30; 1500 ms at
+	// steps 0, 15, 30.
+	for i, want := range []uint64{steps, 4, 3} {
+		if got := servers[i].Requests(); got != want {
+			t.Errorf("source with period %d ms: %d reads in %d steps, want %d", periods[i], got, steps, want)
+		}
+	}
+	if h.Polls() != steps {
+		t.Errorf("polls = %d, want %d", h.Polls(), steps)
 	}
 }

@@ -14,7 +14,7 @@ type PLCConfig struct {
 	XMLName    xml.Name     `xml:"PLCConfig"`
 	Name       string       `xml:"name,attr"`
 	Host       string       `xml:"host,attr"`   // node name in the SCD
-	ScanMS     int          `xml:"scanMs,attr"` // model input only: the range scans each PLC once per step
+	ScanMS     int          `xml:"scanMs,attr"` // scan period on the step clock, rounded up to whole steps; 0 scans every step
 	ModbusPort int          `xml:"modbusPort,attr"`
 	Inputs     []PLCBinding `xml:"Input"`
 	Outputs    []PLCBinding `xml:"Output"`

@@ -23,7 +23,7 @@ type ScadaImportSource struct {
 	Host           string `json:"host"`
 	IP             string `json:"ip"`
 	Port           int    `json:"port"`
-	UpdatePeriodMS int    `json:"updatePeriodMs"` // import format only: the range polls the HMI once per step
+	UpdatePeriodMS int    `json:"updatePeriodMs"` // the HMI's read period on the step clock, rounded up to whole steps
 	Enabled        bool   `json:"enabled"`
 }
 

@@ -142,6 +142,13 @@ type SCADAConfig struct {
 }
 
 // DataSource is one polled endpoint (a PLC over Modbus, or an IED over MMS).
+//
+// PollMS is the source's update period. The range keeps it on the step
+// clock, never on wall time: the HMI reads the source on the first step, and
+// then on the first step at least PollMS after its last read. A period that
+// is not a whole number of steps so rounds up to the next step, and one at
+// most the step interval reads every step; Compile accepts any period.
+// ToImportJSON writes an unset (or non-positive) PollMS as 1000 ms.
 type DataSource struct {
 	Name     string `xml:"name,attr"`
 	Protocol string `xml:"protocol,attr"` // "modbus" | "mms"
